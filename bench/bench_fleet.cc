@@ -19,7 +19,11 @@
 // hosts, 16 connections, 200 ms) for the CI regression gate: every
 // number in a smoke row derives from the simulator clock and a seeded
 // loss stream, so tools/bench_diff.py can hold them to a near-exact
-// threshold against bench/BENCH_fleet_smoke.json on any machine.
+// threshold against bench/BENCH_fleet_smoke.json on any machine. Every
+// row also carries the fleet dispatcher's install-path counts (rebuilds,
+// stub_compiles, stub_replicas) and the generated code still mapped once
+// retired tables are reclaimed (jit_mapped_bytes); the gate holds these
+// to the baseline exactly in their bad direction.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "src/codegen/exec_memory.h"
 #include "src/core/dispatcher.h"
 #include "src/fleet/fleet.h"
 
@@ -47,9 +52,22 @@ std::string RunCell(const std::string& stack, double loss, bool smoke,
   options.duration_ns = smoke ? 200'000'000 : 1'000'000'000;
   options.trace_sample_rate = trace_sample_rate;
 
+  size_t mapped_before = spin::codegen::CodeBuffer::TotalMappedBytes();
   spin::fleet::Fleet fleet(&dispatcher, options);
   spin::fleet::FleetReport report = fleet.Run();
-  return spin::fleet::ReportJson(options, report);
+  // Install-path counts: exact for a given seed. Reclaiming every retired
+  // table first leaves only the live tables' code mapped.
+  dispatcher.SynchronizeAllShards();
+  spin::Dispatcher::Stats stats = dispatcher.stats();
+  size_t jit_mapped =
+      spin::codegen::CodeBuffer::TotalMappedBytes() - mapped_before;
+  std::string row = spin::fleet::ReportJson(options, report);
+  row.pop_back();  // reopen the row object
+  row += ", \"rebuilds\": " + std::to_string(stats.rebuilds) +
+         ", \"stub_compiles\": " + std::to_string(stats.stub_compiles) +
+         ", \"stub_replicas\": " + std::to_string(stats.stub_replicas) +
+         ", \"jit_mapped_bytes\": " + std::to_string(jit_mapped) + "}";
+  return row;
 }
 
 }  // namespace

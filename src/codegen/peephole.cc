@@ -1,7 +1,10 @@
 #include "src/codegen/peephole.h"
 
+#include <algorithm>
 #include <optional>
-#include <unordered_map>
+#include <vector>
+
+#include "src/rt/panic.h"
 
 namespace spin {
 namespace codegen {
@@ -105,29 +108,45 @@ class FactTable {
 
 size_t OnePass(std::vector<LInsn>& code) {
   size_t rewrites = 0;
-  std::vector<LInsn> out;
-  out.reserve(code.size());
-  FactTable facts;
   // Meet of facts over branches into each (forward) label, recorded as the
   // branches are seen. This is only sound when every branch is forward (as
   // the stub compiler guarantees); with any backward branch we degrade to
-  // killing all facts at labels.
-  bool backward_branches = false;
-  {
-    std::unordered_map<int, size_t> bound_at;
-    for (size_t i = 0; i < code.size(); ++i) {
-      if (code[i].op == LOp::kBind) {
-        bound_at[code[i].label] = i;
-      }
-    }
-    for (size_t i = 0; i < code.size() && !backward_branches; ++i) {
-      if (code[i].op == LOp::kJcc || code[i].op == LOp::kJmp) {
-        auto it = bound_at.find(code[i].label);
-        backward_branches = it == bound_at.end() || it->second < i;
-      }
+  // killing all facts at labels. Labels come dense from the stub compiler's
+  // Emitter::NewLabel, so per-label state lives in vectors indexed by label.
+  std::vector<size_t> bound_at;  // 1 + index of the label's bind; 0: unbound
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (code[i].op == LOp::kBind) {
+      SPIN_ASSERT(code[i].label >= 0);
+      auto label = static_cast<size_t>(code[i].label);
+      bound_at.resize(std::max(bound_at.size(), label + 1));
+      bound_at[label] = i + 1;
     }
   }
-  std::unordered_map<int, FactTable> incoming;
+  bool backward_branches = false;
+  for (size_t i = 0; i < code.size() && !backward_branches; ++i) {
+    if (code[i].op == LOp::kJcc || code[i].op == LOp::kJmp) {
+      auto label = static_cast<size_t>(code[i].label);
+      backward_branches = label >= bound_at.size() || bound_at[label] <= i;
+    }
+  }
+  // Filled only when every branch is forward, so every index is in range.
+  std::vector<std::optional<FactTable>> incoming(
+      backward_branches ? 0 : bound_at.size());
+  auto record_branch = [&](int label, const FactTable& facts) {
+    if (backward_branches) {
+      return;
+    }
+    std::optional<FactTable>& in = incoming[static_cast<size_t>(label)];
+    if (in) {
+      in->IntersectWith(facts);
+    } else {
+      in = facts;
+    }
+  };
+  FactTable facts;
+  // Rewrites only delete instructions, so the pass compacts `code` in
+  // place: the write cursor never passes the instruction being read.
+  size_t kept = 0;
   bool reachable = true;  // false between an unconditional jmp and a label
 
   for (size_t i = 0; i < code.size(); ++i) {
@@ -183,34 +202,27 @@ size_t OnePass(std::vector<LInsn>& code) {
       case LOp::kIncMem32:
         facts.KillStore(insn.base, insn.disp, 4);
         break;
-      case LOp::kJcc: {
-        auto [it, fresh] = incoming.try_emplace(insn.label, facts);
-        if (!fresh) {
-          it->second.IntersectWith(facts);
-        }
+      case LOp::kJcc:
+        record_branch(insn.label, facts);
         break;  // fall-through keeps current facts
-      }
-      case LOp::kJmp: {
-        auto [it, fresh] = incoming.try_emplace(insn.label, facts);
-        if (!fresh) {
-          it->second.IntersectWith(facts);
-        }
+      case LOp::kJmp:
+        record_branch(insn.label, facts);
         reachable = false;
         facts.KillAll();
         break;
-      }
       case LOp::kBind: {
         if (backward_branches) {
           facts.KillAll();
           reachable = true;
           break;
         }
-        auto it = incoming.find(insn.label);
+        const std::optional<FactTable>& in =
+            incoming[static_cast<size_t>(insn.label)];
         if (!reachable) {
           // Only the recorded branches reach this point.
-          facts = it != incoming.end() ? it->second : FactTable{};
-        } else if (it != incoming.end()) {
-          facts.IntersectWith(it->second);
+          facts = in ? *in : FactTable{};
+        } else if (in) {
+          facts.IntersectWith(*in);
         }
         reachable = true;
         break;
@@ -225,10 +237,10 @@ size_t OnePass(std::vector<LInsn>& code) {
         break;
     }
 
-    out.push_back(insn);
+    code[kept++] = insn;
   }
 
-  code = std::move(out);
+  code.resize(kept);
   return rewrites;
 }
 

@@ -31,6 +31,7 @@
 
 #include "src/codegen/exec_memory.h"
 #include "src/codegen/frame.h"
+#include "src/codegen/lir.h"
 #include "src/micro/program.h"
 
 namespace spin {
@@ -93,15 +94,16 @@ struct StubSpec {
 
 class CompiledStub {
  public:
-  CompiledStub(std::unique_ptr<CodeBuffer> buffer, std::string lir_text,
-               size_t lir_insns, size_t peephole_rewrites);
+  CompiledStub(std::unique_ptr<CodeBuffer> buffer, std::vector<LInsn> lir,
+               size_t peephole_rewrites);
 
   // Byte-copies the routine into a fresh executable mapping. The emitted
   // code is position-independent (register-indirect calls, internal rel32
-  // branches only), so the copy is an exact functional replica; sharded
-  // dispatchers clone one compiled stub per shard so each shard's unrolled
-  // dispatch loop owns its own I-cache lines. Returns nullptr if the
-  // platform refuses a new executable mapping.
+  // branches only), so the copy is an exact functional replica. The
+  // dispatcher never copies a stub — every shard's table replica shares the
+  // one read-only mapping — so this serves only the position-independence
+  // check of the golden corpus and the clone-cost probe. Returns nullptr if
+  // the platform refuses a new executable mapping.
   std::unique_ptr<CompiledStub> Clone() const;
 
   DispatchStubFn entry() const {
@@ -109,14 +111,15 @@ class CompiledStub {
         const_cast<void*>(buffer_->entry()));
   }
   size_t code_size() const { return buffer_->code_size(); }
-  const std::string& lir_text() const { return lir_text_; }
-  size_t lir_insns() const { return lir_insns_; }
+  // The post-peephole LIR, one instruction per line; rendered on demand
+  // (diagnostics and tests only, never on the install path).
+  std::string lir_text() const;
+  size_t lir_insns() const { return lir_.size(); }
   size_t peephole_rewrites() const { return peephole_rewrites_; }
 
  private:
   std::unique_ptr<CodeBuffer> buffer_;
-  std::string lir_text_;
-  size_t lir_insns_;
+  std::vector<LInsn> lir_;
   size_t peephole_rewrites_;
 };
 

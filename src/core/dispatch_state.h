@@ -11,9 +11,12 @@
 // holds one table replica per shard. A raise hashes its source (see
 // src/core/shard.h) to a shard and reads only that shard's replica under
 // that shard's epoch domain; installs publish a fresh replica to every
-// shard, each with its own copy of the generated stub so the unrolled
-// dispatch loop stays warm in each shard's I-cache. With one shard the
-// layout and the raise path are exactly the historical single-replica ones.
+// shard. All replicas of one table share its single compiled stub: the code
+// is read-only and position-independent, so its lines sit shared-clean in
+// every core's I-cache, and the stub is unmapped only when the last replica
+// holding it is reclaimed from its own shard's epoch domain. With one shard
+// the layout and the raise path are exactly the historical single-replica
+// ones.
 #ifndef SRC_CORE_DISPATCH_STATE_H_
 #define SRC_CORE_DISPATCH_STATE_H_
 
@@ -60,8 +63,9 @@ struct DispatchTable {
 
   uint64_t ephemeral_budget_ns = 0;  // relative budget for EPHEMERAL handlers
 
-  // Generated dispatch routine covering sync_bindings (null => interpret).
-  std::unique_ptr<codegen::CompiledStub> stub;
+  // Generated dispatch routine covering sync_bindings (null => interpret),
+  // shared by every shard's replica of this table.
+  std::shared_ptr<const codegen::CompiledStub> stub;
 
   AsyncMode async_mode = AsyncMode::kPooled;
   ThreadPool* pool = nullptr;

@@ -988,36 +988,11 @@ void Dispatcher::RebuildLocked(EventBase& event) {
                                      event.obs_name_, table->version);
 
   // Publish one replica per shard, each with a single store; old replicas
-  // retire through the owning shard's epoch domain. The stub is compiled
-  // once (above, for shard 0) and byte-copied for the other shards so every
-  // shard's dispatch loop lives in its own executable pages.
+  // retire through the owning shard's epoch domain. Replicas share the one
+  // compiled stub, which lives until the last of them is reclaimed.
   for (uint32_t s = 1; s < shard_count_; ++s) {
-    auto replica = std::make_unique<DispatchTable>();
-    replica->sync_bindings = table->sync_bindings;
-    replica->async_bindings = table->async_bindings;
-    replica->default_handler = table->default_handler;
-    replica->policy = table->policy;
-    replica->custom_fold = table->custom_fold;
-    replica->custom_fold_ctx = table->custom_fold_ctx;
-    replica->returns_value = table->returns_value;
-    replica->result_is_bool = table->result_is_bool;
-    replica->ephemeral_budget_ns = table->ephemeral_budget_ns;
-    replica->async_mode = table->async_mode;
-    replica->pool = table->pool;
+    auto replica = std::make_unique<DispatchTable>(*table);
     replica->shard = s;
-    replica->lazy_pending = table->lazy_pending;
-    replica->obs_kind = table->obs_kind;
-    replica->version = table->version;
-    if (table->stub != nullptr) {
-      replica->stub = table->stub->Clone();
-      if (replica->stub != nullptr) {
-        ++stats_.stub_replicas;
-      } else {
-        // The platform refused another executable mapping; this shard
-        // interprets the same bindings instead (semantically identical).
-        replica->obs_kind = obs::DispatchKind::kInterp;
-      }
-    }
     DispatchTable* old = event.table_slot(s).exchange(
         replica.release(), std::memory_order_acq_rel);
     if (old != nullptr) {

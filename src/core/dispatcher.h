@@ -304,7 +304,9 @@ class Dispatcher {
     uint64_t direct_tables = 0;
     uint64_t tree_tables = 0;      // stubs using the guard decision tree
     uint64_t lazy_promotions = 0;  // lazy events promoted to compiled
-    uint64_t stub_replicas = 0;    // per-shard byte-copies of compiled stubs
+    // Always 0: shard replicas share their table's one stub. Kept for the
+    // stable spin_dispatcher_stub_replicas_total series and its readers.
+    uint64_t stub_replicas = 0;
   };
   Stats stats() const;
 

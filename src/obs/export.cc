@@ -84,7 +84,7 @@ constexpr Family kFamilies[] = {
     {"spin_dispatcher_lazy_promotions_total", "counter",
      "Lazy events promoted to compiled dispatch."},
     {"spin_dispatcher_stub_replicas_total", "counter",
-     "Per-shard byte-copies of compiled stubs."},
+     "Per-shard byte-copies of compiled stubs (0: shards share one)."},
     {"spin_dispatcher_direct_tables_total", "counter",
      "Tables built with the intrinsic-bypass direct call."},
     {"spin_dispatcher_interp_tables_total", "counter",

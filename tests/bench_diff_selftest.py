@@ -126,6 +126,29 @@ def main():
         code, out = run(tool, lines, write(tmp, "worse.txt", worse))
         ok &= expect("ratio regression fails", code, 1, out)
 
+        # Install-path counts in the fleet smoke rows gate in the
+        # higher-is-worse direction; with --per =1.0 any increase fails,
+        # including a count whose baseline is 0.
+        fleet = {"bench": "fleet", "rows": [
+            {"bench": "fleet", "stack": "reno", "loss": 0, "rebuilds": 480,
+             "stub_compiles": 312, "stub_replicas": 0,
+             "jit_mapped_bytes": 458752}]}
+        fleet_path = write(tmp, "fleet.json", fleet)
+        exact = ["--threshold", "1.01",
+                 "--per", "fleet/*/stub_replicas=1.0",
+                 "--per", "fleet/*/rebuilds=1.0"]
+        code, out = run(tool, fleet_path, fleet_path, *exact)
+        ok &= expect("fleet counts self-diff passes", code, 0, out)
+        cloned = json.loads(json.dumps(fleet))
+        cloned["rows"][0]["stub_replicas"] = 2184
+        cloned["rows"][0]["rebuilds"] = 481
+        code, out = run(tool, fleet_path, write(tmp, "cloned.json", cloned),
+                        *exact)
+        ok &= expect("fleet count increase fails", code, 1, out)
+        if "stub_replicas" not in out or "rebuilds" not in out:
+            print(f"FAIL count regression report names the metrics:\n{out}")
+            ok = False
+
         # An empty baseline is a usage error, not a silent pass.
         code, out = run(tool, write(tmp, "empty.txt", "no rows here\n"),
                         base)

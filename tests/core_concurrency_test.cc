@@ -8,11 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include "src/codegen/stub_compiler.h"
 #include "src/core/dispatcher.h"
 #include "src/core/shard.h"
+#include "src/micro/program.h"
 
 namespace spin {
 namespace {
+
+// A source value that ShardFor maps to `shard` under `shards` shards.
+uint64_t SourceOnShard(uint32_t shard, uint32_t shards) {
+  for (uint64_t id = 1;; ++id) {
+    uint64_t source = MakeRaiseSource(SourceKind::kStrand, id);
+    if (ShardFor(source, shards) == shard) {
+      return source;
+    }
+  }
+}
 
 std::atomic<uint64_t> g_sum{0};
 
@@ -138,10 +150,12 @@ TEST(ConcurrencyTest, RaiseInsideHandlerNests) {
 }
 
 TEST(ConcurrencyTest, InstallWhileRaisingAcrossShards) {
-  // The sharded variant of the churn test: raisers pinned to different
-  // shards read different table replicas while installs republish all of
-  // them. No raise may ever see a torn replica, a missing anchor, or a
-  // freed table on any shard.
+  // The sharded variant of the churn test: one raiser pinned to each shard
+  // reads that shard's table replica while installs republish all of them.
+  // Every churn cycle installs micro handlers, so (with the JIT) it compiles
+  // a stub that all replicas share and retires it through four epoch
+  // domains. No raise may ever see a torn replica, a missing anchor, or a
+  // freed table or stub on any shard.
   Module module("ShardChurn");
   Dispatcher::Config config;
   config.shards = 4;
@@ -154,23 +168,26 @@ TEST(ConcurrencyTest, InstallWhileRaisingAcrossShards) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> raises{0};
   std::vector<std::thread> raisers;
-  for (int t = 0; t < 4; ++t) {
-    raisers.emplace_back([&, t] {
-      // Distinct strand identities: the raisers spread across replicas
-      // (with 4 shards and splitmix64 these ids cover several shards).
-      RaiseSourceScope source(
-          MakeRaiseSource(SourceKind::kStrand, static_cast<uint64_t>(t)));
-      while (!stop.load(std::memory_order_relaxed)) {
+  for (uint32_t s = 0; s < dispatcher.shard_count(); ++s) {
+    raisers.emplace_back([&, s] {
+      RaiseSourceScope source(SourceOnShard(s, dispatcher.shard_count()));
+      do {  // at least one raise per shard, however the threads schedule
         int64_t r = event.Raise(1, 2);
         ASSERT_EQ(r, 1);
         raises.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
+  uint64_t compiles_before = dispatcher.stats().stub_compiles;
   std::thread churner([&] {
     for (int i = 0; i < 1000; ++i) {
-      auto binding = dispatcher.InstallHandler(
-          event, &TrueGuard, &CountingHandler, {.module = &module});
+      // Returns 1, the anchor's result for these arguments, so the kLast
+      // fold reads 1 whichever table a raise sees.
+      auto binding = dispatcher.InstallMicroHandler(
+          event, micro::ReturnConst(2, 1, /*functional=*/false),
+          {.module = &module});
+      dispatcher.AddMicroGuard(binding,
+                               micro::ReturnConst(2, 1, /*functional=*/true));
       dispatcher.Uninstall(binding, &module);
     }
   });
@@ -180,9 +197,14 @@ TEST(ConcurrencyTest, InstallWhileRaisingAcrossShards) {
     t.join();
   }
   EXPECT_GT(raises.load(), 0u);
-  // Every raise was routed somewhere, and only through real shards.
+  if (codegen::CodegenAvailable()) {
+    // Install, guard and uninstall each rebuild with a compile.
+    EXPECT_EQ(dispatcher.stats().stub_compiles - compiles_before, 3000u);
+  }
+  // Every raise was routed somewhere, and every shard carried raises.
   uint64_t routed = 0;
   for (uint32_t s = 0; s < dispatcher.shard_count(); ++s) {
+    EXPECT_GT(dispatcher.shard_raises(s), 0u) << "shard " << s;
     routed += dispatcher.shard_raises(s);
   }
   EXPECT_EQ(routed, raises.load());

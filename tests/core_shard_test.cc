@@ -1,14 +1,17 @@
-// Sharded dispatch state: installs publish a replica (and a cloned stub) to
-// every shard, raises read only their source's shard, and async work drains
-// through the source's own outbox queue. With shards=1 the dispatcher must
+// Sharded dispatch state: installs publish a replica to every shard (all
+// sharing the table's one compiled stub), raises read only their source's
+// shard, and async work drains through the source's own outbox queue. With shards=1 the dispatcher must
 // behave exactly like the historical single-replica one.
 #include <atomic>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/codegen/exec_memory.h"
+#include "src/codegen/stub_compiler.h"
 #include "src/core/dispatcher.h"
 #include "src/core/shard.h"
 #include "src/obs/export.h"
@@ -92,7 +95,7 @@ TEST(ShardTest, ReinstallRepublishesEveryReplica) {
   }
 }
 
-TEST(ShardTest, StubReplicasClonedPerShard) {
+TEST(ShardTest, StubSharedAcrossShards) {
   if (!codegen::CodegenAvailable()) {
     GTEST_SKIP() << "JIT unavailable";
   }
@@ -102,11 +105,28 @@ TEST(ShardTest, StubReplicasClonedPerShard) {
   config.allow_direct = false;  // force a stub for the single handler
   Dispatcher dispatcher(config);
   Event<int64_t(int64_t)> event("Shards.Stub", &module, nullptr, &dispatcher);
-  uint64_t replicas_before = dispatcher.stats().stub_replicas;
+  Dispatcher::Stats before = dispatcher.stats();
+  size_t mapped_before = codegen::CodeBuffer::TotalMappedBytes();
   dispatcher.InstallHandler(event, &AddOne, {.module = &module});
-  // One compile for shard 0, one byte-copy per extra shard.
-  EXPECT_EQ(dispatcher.stats().stub_replicas - replicas_before,
-            dispatcher.shard_count() - 1);
+  // One compile, no copies: every shard's replica shares the stub, so the
+  // install maps exactly one stub's pages.
+  Dispatcher::Stats after = dispatcher.stats();
+  EXPECT_EQ(after.stub_compiles - before.stub_compiles, 1u);
+  EXPECT_EQ(after.stub_replicas - before.stub_replicas, 0u);
+  size_t install_mapped =
+      codegen::CodeBuffer::TotalMappedBytes() - mapped_before;
+  // The same routine compiled standalone: the size of one stub's mapping.
+  codegen::StubSpec spec;
+  spec.num_args = 1;
+  spec.policy = ResultPolicy::kLast;
+  spec.bindings.resize(1);
+  spec.bindings[0].handler.fn = reinterpret_cast<void*>(&AddOne);
+  size_t probe_before = codegen::CodeBuffer::TotalMappedBytes();
+  std::unique_ptr<codegen::CompiledStub> probe = codegen::CompileStub(spec);
+  ASSERT_NE(probe, nullptr);
+  size_t one_stub = codegen::CodeBuffer::TotalMappedBytes() - probe_before;
+  EXPECT_GT(one_stub, 0u);
+  EXPECT_EQ(install_mapped, one_stub);
   for (uint32_t s = 0; s < dispatcher.shard_count(); ++s) {
     RaiseSourceScope source(SourceOnShard(s, dispatcher.shard_count()));
     EXPECT_EQ(event.Raise(1), 2) << "shard " << s;

@@ -12,7 +12,9 @@ loss, ...) and each measured metric is compared by ratio. A metric
 regresses when it moves in its bad direction by more than the threshold:
 
     higher is worse:  *_ns, *_us, ns_per_raise, *_ratio, retransmissions,
-                      frames_lost, dead
+                      frames_lost, dead, and the install-path counts
+                      rebuilds, stub_compiles, stub_replicas,
+                      jit_mapped_bytes
     lower is worse:   raises_per_sec, delivered_per_sec, responses,
                       established
 
@@ -50,7 +52,10 @@ KEY_FIELDS = (
 )
 
 HIGHER_IS_WORSE_SUFFIXES = ("_ns", "_us", "_ratio")
-HIGHER_IS_WORSE = {"ns_per_raise", "retransmissions", "frames_lost", "dead"}
+HIGHER_IS_WORSE = {
+    "ns_per_raise", "retransmissions", "frames_lost", "dead",
+    "rebuilds", "stub_compiles", "stub_replicas", "jit_mapped_bytes",
+}
 LOWER_IS_WORSE = {
     "raises_per_sec", "delivered_per_sec", "responses", "established",
 }
