@@ -1007,12 +1007,12 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   }
 }
 
-void Dispatcher::ExportMetricsSource(void* ctx, std::ostream& os) {
+void Dispatcher::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
   auto* self = static_cast<Dispatcher*>(ctx);
   Stats stats = self->stats();
-  auto line = [&os, self](const char* name, uint64_t value) {
-    os << name << "{instance=\"" << self->instance_id_ << "\"} " << value
-       << "\n";
+  const std::string instance = std::to_string(self->instance_id_);
+  auto line = [&](const char* name, uint64_t value) {
+    sink.Add(name, {{"instance", instance}}, value);
   };
   line("spin_dispatcher_installs_total", stats.installs);
   line("spin_dispatcher_uninstalls_total", stats.uninstalls);
@@ -1033,10 +1033,9 @@ void Dispatcher::ExportMetricsSource(void* ctx, std::ostream& os) {
   line("spin_pool_pending", self->pool_->pending());
   line("spin_pool_executed_total", self->pool_->executed());
   line("spin_pool_steals_total", self->pool_->steals());
-  auto shard_line = [&os, self](const char* name, uint32_t shard,
-                                uint64_t value) {
-    os << name << "{instance=\"" << self->instance_id_ << "\",shard=\""
-       << shard << "\"} " << value << "\n";
+  auto shard_line = [&](const char* name, uint32_t shard, uint64_t value) {
+    sink.Add(name, {{"instance", instance}, {"shard", std::to_string(shard)}},
+             value);
   };
   if (self->shard_count_ > 1) {
     size_t pool_queues = self->pool_->queues();
@@ -1055,10 +1054,8 @@ void Dispatcher::ExportMetricsSource(void* ctx, std::ostream& os) {
   line("spin_epoch_reclaimed_total", self->epoch_->reclaimed_total());
   line("spin_quota_limit_bytes", self->quota_.limit());
   for (const auto& [module, used] : self->quota_.Snapshot()) {
-    os << "spin_quota_used_bytes{instance=\"" << self->instance_id_
-       << "\",module=\"";
-    obs::WriteLabelValue(os, module);
-    os << "\"} " << used << "\n";
+    sink.Add("spin_quota_used_bytes",
+             {{"instance", instance}, {"module", module}}, used);
   }
 }
 

@@ -365,7 +365,7 @@ class Dispatcher {
                                     const Module* requestor,
                                     void* credentials);
 
-  static void ExportMetricsSource(void* ctx, std::ostream& os);
+  static void ExportMetricsSource(void* ctx, obs::MetricSink& sink);
 
   // Anomaly-watchdog probe: reports per-shard pool queue (depth, executed)
   // and epoch domain (retired, reclaimed) samples each monitor period.

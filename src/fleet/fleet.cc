@@ -266,7 +266,7 @@ FleetReport Fleet::Run() {
   return report;
 }
 
-void Fleet::ExportMetricsSource(void* ctx, std::ostream& os) {
+void Fleet::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
   auto* self = static_cast<Fleet*>(ctx);
   size_t connections = 0;
   size_t established = 0;
@@ -287,10 +287,8 @@ void Fleet::ExportMetricsSource(void* ctx, std::ostream& os) {
                          conn->server->retransmissions();
     }
   }
-  auto line = [&os, self](const char* name, uint64_t value) {
-    os << name << "{stack=\"";
-    obs::WriteLabelValue(os, self->options_.stack);
-    os << "\"} " << value << "\n";
+  auto line = [&](const char* name, uint64_t value) {
+    sink.Add(name, {{"stack", self->options_.stack}}, value);
   };
   line("spin_fleet_hosts", self->pairs_.size() * 2);
   line("spin_fleet_connections", connections);

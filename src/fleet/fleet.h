@@ -131,7 +131,7 @@ class Fleet {
     std::vector<std::unique_ptr<Conn>> conns;
   };
 
-  static void ExportMetricsSource(void* ctx, std::ostream& os);
+  static void ExportMetricsSource(void* ctx, obs::MetricSink& sink);
 
   void BuildPair(size_t index);
   void Tick(Conn* conn);

@@ -1,7 +1,6 @@
 #include "src/net/host.h"
 
 #include <optional>
-#include <ostream>
 
 #include "src/core/shard.h"
 #include "src/net/stacks/tcp_stack.h"
@@ -167,12 +166,10 @@ Host::Host(std::string name, uint32_t ip, Dispatcher* dispatcher)
 
 Host::~Host() { obs::UnregisterSource(this); }
 
-void Host::ExportMetricsSource(void* ctx, std::ostream& os) {
+void Host::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
   auto* self = static_cast<Host*>(ctx);
-  auto line = [&os, self](const char* name, uint64_t value) {
-    os << name << "{host=\"";
-    obs::WriteLabelValue(os, self->name_);
-    os << "\"} " << value << "\n";
+  auto line = [&](const char* name, uint64_t value) {
+    sink.Add(name, {{"host", self->name_}}, value);
   };
   line("spin_net_rx_packets_total", self->rx_);
   line("spin_net_tx_packets_total", self->tx_);

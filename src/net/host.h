@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -174,7 +173,7 @@ class Host {
   static void TcpStackIdle(Host* host, TcpConn* conn);
   static void TcpStackIdleAck(Host* host, TcpConn* conn, uint64_t ack);
   static bool WireTransmit(Host* host, Packet* packet);
-  static void ExportMetricsSource(void* ctx, std::ostream& os);
+  static void ExportMetricsSource(void* ctx, obs::MetricSink& sink);
 
   std::string name_;
   uint32_t ip_;

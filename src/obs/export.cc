@@ -1,7 +1,8 @@
 #include "src/obs/export.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/rt/clock.h"
+#include "src/rt/panic.h"
 
 namespace spin {
 namespace obs {
@@ -19,15 +21,11 @@ struct Source {
   MetricSourceFn fn;
 };
 
+// Sources run under `mu`, so UnregisterSource cannot return while its
+// source is running.
 struct SourceList {
-  std::atomic_flag lock = ATOMIC_FLAG_INIT;
+  std::mutex mu;
   std::vector<Source> sources;
-
-  void Lock() {
-    while (lock.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void Unlock() { lock.clear(std::memory_order_release); }
 };
 
 SourceList& Sources() {
@@ -37,9 +35,9 @@ SourceList& Sources() {
 
 // Every metric family any layer can emit, declared centrally so the
 // exposition carries one # HELP / # TYPE pair per family regardless of
-// which sources happen to be registered. tools/validate_metrics.py fails
-// the build when a sample appears without a matching declaration, so a new
-// series name starts here.
+// which sources happen to be registered. MetricSink checks every sample
+// against this table (and tools/validate_metrics.py lints the rendered
+// text), so a new series name starts here.
 struct Family {
   const char* name;
   const char* type;
@@ -172,31 +170,79 @@ constexpr Family kFamilies[] = {
      "Raises rejected for a revoked token."},
 };
 
-void WriteSummarySeries(std::ostream& os, const std::string& event,
-                        const char* kind, const HistogramSnapshot& snap) {
-  auto labels = [&](std::ostream& o) {
-    o << "{event=\"";
-    WriteLabelValue(o, event);
-    o << "\",kind=\"" << kind << "\"";
-  };
-  const struct {
-    const char* q;
-    double v;
-  } quantiles[] = {{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}};
-  for (const auto& q : quantiles) {
-    os << "spin_event_raise_ns";
-    labels(os);
-    os << ",quantile=\"" << q.q << "\"} " << snap.Percentile(q.v) << "\n";
+// Whether `family` is declared in kFamilies with `type`.
+bool Declared(const char* family, const char* type) {
+  for (const Family& f : kFamilies) {
+    if (std::strcmp(f.name, family) == 0) {
+      return std::strcmp(f.type, type) == 0;
+    }
   }
-  os << "spin_event_raise_ns_count";
-  labels(os);
-  os << "} " << snap.count << "\n";
-  os << "spin_event_raise_ns_sum";
-  labels(os);
-  os << "} " << snap.sum << "\n";
-  os << "spin_event_raise_ns_max";
-  labels(os);
-  os << "} " << snap.max << "\n";
+  return false;
+}
+
+// Escapes a Prometheus label value (backslash, quote, newline) or, with
+// `json`, a JSON string (those plus the other control characters).
+void WriteEscaped(std::ostream& os, const std::string& value, bool json) {
+  for (char ch : value) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c == '\\' || c == '"') {
+      os << '\\' << ch;
+    } else if (c == '\n') {
+      os << "\\n";
+    } else if (json && c == '\t') {
+      os << "\\t";
+    } else if (json && c == '\r') {
+      os << "\\r";
+    } else if (json && c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      os << buf;
+    } else {
+      os << ch;
+    }
+  }
+}
+
+// Writes a series key, name{label="value",...}: the exposition's sample
+// prefix and the JSON series name. `quantile` (summaries) is appended as
+// the last label.
+void WriteSeries(std::ostream& os, const char* family, const char* suffix,
+                 const std::vector<Label>& labels,
+                 const char* quantile = nullptr) {
+  os << family << suffix;
+  char sep = '{';
+  for (const auto& [name, value] : labels) {
+    os << sep << name << "=\"";
+    WriteEscaped(os, value, /*json=*/false);
+    os << '"';
+    sep = ',';
+  }
+  if (quantile != nullptr) {
+    os << sep << "quantile=\"" << quantile << '"';
+    sep = ',';
+  }
+  if (sep == ',') {
+    os << '}';
+  }
+}
+
+void WriteSample(std::ostream& os, const MetricSample& sample) {
+  auto line = [&](const char* suffix, uint64_t value,
+                  const char* quantile = nullptr) {
+    WriteSeries(os, sample.family, suffix, sample.labels, quantile);
+    os << " " << value << "\n";
+  };
+  if (sample.hist == nullptr) {
+    line("", sample.value);
+    return;
+  }
+  const std::pair<const char*, double> quantiles[] = {
+      {"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}};
+  for (const auto& [label, q] : quantiles) {
+    line("", sample.hist->Percentile(q), label);
+  }
+  line("_count", sample.hist->count);
+  line("_sum", sample.hist->sum);
 }
 
 // Aggregates live per-instance metrics by event name so re-registered
@@ -229,163 +275,107 @@ std::vector<EventAgg> AggregateEvents() {
   return aggs;
 }
 
-void JsonEscape(std::ostream& os, const std::string& s) {
-  for (char ch : s) {
-    unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << static_cast<char>(c);
-        }
-    }
-  }
-}
-
-}  // namespace
-
-void WriteLabelValue(std::ostream& os, const std::string& value) {
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        os << "\\\\";
-        break;
-      case '"':
-        os << "\\\"";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-}
-
-void RegisterSource(void* ctx, MetricSourceFn fn) {
-  SourceList& list = Sources();
-  list.Lock();
-  list.sources.push_back(Source{ctx, fn});
-  list.Unlock();
-}
-
-void UnregisterSource(void* ctx) {
-  SourceList& list = Sources();
-  list.Lock();
-  for (auto it = list.sources.begin(); it != list.sources.end();) {
-    it = it->ctx == ctx ? list.sources.erase(it) : it + 1;
-  }
-  list.Unlock();
-}
-
-void ExportMetrics(std::ostream& os) {
-  for (const Family& family : kFamilies) {
-    os << "# HELP " << family.name << " " << family.help << "\n";
-    os << "# TYPE " << family.name << " " << family.type << "\n";
-  }
-
+// Event and phase summaries, each followed by its _max gauge. Only the
+// exposition carries these: CaptureStats keeps event histograms whole, and
+// phase histograms come from SnapshotPhaseStats().
+void AddDistributions(MetricSink& sink) {
   for (const EventAgg& agg : AggregateEvents()) {
+    auto add = [&](const char* kind, const HistogramSnapshot& snap) {
+      std::vector<Label> labels = {{"event", agg.name}, {"kind", kind}};
+      sink.AddSummary("spin_event_raise_ns", labels, snap);
+      sink.Add("spin_event_raise_ns_max", std::move(labels), snap.max);
+    };
     HistogramSnapshot all;
     for (size_t k = 0; k < kNumDispatchKinds; ++k) {
-      const HistogramSnapshot& snap = agg.kinds[k];
-      if (snap.count == 0) {
-        continue;
+      if (agg.kinds[k].count != 0) {
+        all.Merge(agg.kinds[k]);
+        add(DispatchKindName(static_cast<DispatchKind>(k)), agg.kinds[k]);
       }
-      all.Merge(snap);
-      WriteSummarySeries(os, agg.name,
-                         DispatchKindName(static_cast<DispatchKind>(k)),
-                         snap);
     }
     if (all.count != 0) {
-      WriteSummarySeries(os, agg.name, "all", all);
+      add("all", all);
     }
   }
-
-  // Per-(event, phase) self-time summaries from the PhaseScope registry.
   for (const PhaseStats& stats : SnapshotPhaseStats()) {
     for (size_t p = 0; p < kNumPhases; ++p) {
       const HistogramSnapshot& snap = stats.phases[p];
       if (snap.count == 0) {
         continue;
       }
-      const char* phase = PhaseName(static_cast<Phase>(p));
-      auto labels = [&](std::ostream& o) {
-        o << "{event=\"";
-        WriteLabelValue(o, stats.event);
-        o << "\",phase=\"" << phase << "\"";
-      };
-      const struct {
-        const char* q;
-        double v;
-      } quantiles[] = {{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}};
-      for (const auto& q : quantiles) {
-        os << "spin_phase_ns";
-        labels(os);
-        os << ",quantile=\"" << q.q << "\"} " << snap.Percentile(q.v) << "\n";
-      }
-      os << "spin_phase_ns_count";
-      labels(os);
-      os << "} " << snap.count << "\n";
-      os << "spin_phase_ns_sum";
-      labels(os);
-      os << "} " << snap.sum << "\n";
-      os << "spin_phase_ns_max";
-      labels(os);
-      os << "} " << snap.max << "\n";
+      std::vector<Label> labels = {{"event", stats.event},
+                                   {"phase", PhaseName(static_cast<Phase>(p))}};
+      sink.AddSummary("spin_phase_ns", labels, snap);
+      sink.Add("spin_phase_ns_max", std::move(labels), snap.max);
     }
   }
+}
 
-  // Flight-recorder health and span accounting. Overwrites flag a
-  // truncated capture window; the per-thread breakdown shows *which* ring
-  // is dropping (one hot thread can silently lose its half of every trace
-  // while the global sum looks tolerable); orphans are records emitted
-  // outside any span.
+// Flight-recorder health and span accounting, then every registered
+// source. Overwrites flag a truncated capture window; the per-thread
+// breakdown shows *which* ring is dropping (one hot thread can silently
+// lose its half of every trace while the global sum looks tolerable);
+// orphans are records emitted outside any span.
+void AddSeries(MetricSink& sink) {
   FlightRecorder& recorder = FlightRecorder::Global();
-  os << "spin_trace_overwrites_total{recorder=\"global\"} "
-     << recorder.TotalOverwrites() << "\n";
-  os << "spin_trace_emits_total{recorder=\"global\"} "
-     << recorder.TotalEmits() << "\n";
+  const std::vector<Label> global = {{"recorder", "global"}};
+  sink.Add("spin_trace_overwrites_total", global, recorder.TotalOverwrites());
+  sink.Add("spin_trace_emits_total", global, recorder.TotalEmits());
   for (const FlightRecorder::RingStats& ring : recorder.PerRingStats()) {
-    os << "spin_trace_overwrites_total{thread=\"" << ring.tid << "\"} "
-       << ring.overwrites << "\n";
-    os << "spin_trace_emits_total{thread=\"" << ring.tid << "\"} "
-       << ring.emits << "\n";
+    const std::vector<Label> thread = {{"thread", std::to_string(ring.tid)}};
+    sink.Add("spin_trace_overwrites_total", thread, ring.overwrites);
+    sink.Add("spin_trace_emits_total", thread, ring.emits);
   }
   SpanStats spans = GetSpanStats();
-  os << "spin_trace_spans_started_total{recorder=\"global\"} "
-     << spans.started << "\n";
-  os << "spin_trace_spans_completed_total{recorder=\"global\"} "
-     << spans.completed << "\n";
-  os << "spin_trace_cross_host_spans_total{recorder=\"global\"} "
-     << spans.cross_host << "\n";
-  os << "spin_trace_orphan_records_total{recorder=\"global\"} "
-     << spans.orphans << "\n";
+  sink.Add("spin_trace_spans_started_total", global, spans.started);
+  sink.Add("spin_trace_spans_completed_total", global, spans.completed);
+  sink.Add("spin_trace_cross_host_spans_total", global, spans.cross_host);
+  sink.Add("spin_trace_orphan_records_total", global, spans.orphans);
 
-  // External sources (dispatchers, and whatever embedders add).
   SourceList& list = Sources();
-  list.Lock();
-  std::vector<Source> sources = list.sources;
-  list.Unlock();
-  for (const Source& source : sources) {
-    source.fn(source.ctx, os);
+  std::lock_guard<std::mutex> lock(list.mu);
+  for (const Source& source : list.sources) {
+    source.fn(source.ctx, sink);
+  }
+}
+
+}  // namespace
+
+void MetricSink::Add(const char* family, std::vector<Label> labels,
+                     uint64_t value) {
+  SPIN_DCHECK(Declared(family, "counter") || Declared(family, "gauge"));
+  samples_.push_back(MetricSample{family, std::move(labels), value, nullptr});
+}
+
+void MetricSink::AddSummary(const char* family, std::vector<Label> labels,
+                            const HistogramSnapshot& hist) {
+  SPIN_DCHECK(Declared(family, "summary"));
+  samples_.push_back(MetricSample{family, std::move(labels), 0,
+                                  std::make_unique<HistogramSnapshot>(hist)});
+}
+
+void RegisterSource(void* ctx, MetricSourceFn fn) {
+  SourceList& list = Sources();
+  std::lock_guard<std::mutex> lock(list.mu);
+  list.sources.push_back(Source{ctx, fn});
+}
+
+void UnregisterSource(void* ctx) {
+  SourceList& list = Sources();
+  std::lock_guard<std::mutex> lock(list.mu);
+  std::erase_if(list.sources, [ctx](const Source& s) { return s.ctx == ctx; });
+}
+
+void ExportMetrics(std::ostream& os) {
+  // Collect first, render after: no source runs while `os` blocks.
+  MetricSink sink;
+  AddDistributions(sink);
+  AddSeries(sink);
+  for (const Family& family : kFamilies) {
+    os << "# HELP " << family.name << " " << family.help << "\n";
+    os << "# TYPE " << family.name << " " << family.type << "\n";
+  }
+  for (const MetricSample& sample : sink.samples()) {
+    WriteSample(os, sample);
   }
 }
 
@@ -408,39 +398,17 @@ StatsSnapshot CaptureStats() {
     }
   }
 
-  // The series list is parsed out of the text exposition so a snapshot
-  // covers exactly what a scrape covers — new sources are picked up with
-  // no snapshot-side changes. Event summaries are skipped: the structured
-  // histograms above carry them with full bucket resolution.
-  std::ostringstream text;
-  ExportMetrics(text);
-  std::istringstream lines(text.str());
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') {
+  // Summaries stay out: a flat series cannot carry a distribution.
+  MetricSink sink;
+  AddSeries(sink);
+  for (const MetricSample& sample : sink.samples()) {
+    if (sample.hist != nullptr) {
       continue;
     }
-    size_t space = line.rfind(' ');
-    if (space == std::string::npos || space + 1 >= line.size()) {
-      continue;
-    }
-    std::string series = line.substr(0, space);
-    if (series.rfind("spin_event_raise_ns", 0) == 0 ||
-        series.rfind("spin_phase_ns", 0) == 0) {
-      // Summaries with structured counterparts: event histograms live in
-      // snap.events; phase histograms come from SnapshotPhaseStats().
-      continue;
-    }
-    SeriesSample sample;
-    sample.series = std::move(series);
-    sample.value = std::strtoull(line.c_str() + space + 1, nullptr, 10);
-    size_t brace = sample.series.find('{');
-    std::string name = brace == std::string::npos
-                           ? sample.series
-                           : sample.series.substr(0, brace);
-    sample.counter = name.size() >= 6 &&
-                     name.compare(name.size() - 6, 6, "_total") == 0;
-    snap.series.push_back(std::move(sample));
+    std::ostringstream series;
+    WriteSeries(series, sample.family, "", sample.labels);
+    snap.series.push_back(SeriesSample{series.str(), sample.value,
+                                       Declared(sample.family, "counter")});
   }
   return snap;
 }
@@ -505,7 +473,7 @@ void WriteJsonStats(std::ostream& os, const StatsSnapshot& snap) {
     }
     first = false;
     os << "{\"event\":\"";
-    JsonEscape(os, stat.event);
+    WriteEscaped(os, stat.event, /*json=*/true);
     os << "\",\"kind\":\"" << DispatchKindName(stat.kind) << "\""
        << ",\"count\":" << stat.hist.count << ",\"sum_ns\":" << stat.hist.sum
        << ",\"p50_ns\":" << stat.hist.Percentile(0.5)
@@ -521,7 +489,7 @@ void WriteJsonStats(std::ostream& os, const StatsSnapshot& snap) {
     }
     first = false;
     os << "{\"name\":\"";
-    JsonEscape(os, sample.series);
+    WriteEscaped(os, sample.series, /*json=*/true);
     os << "\",\"value\":" << sample.value << "}";
   }
   os << "]}";

@@ -1,33 +1,30 @@
-// Prometheus-style text exposition and the snapshot/delta stats pipeline.
+// One typed metric path, rendered two ways.
 //
-// ExportMetrics(os) writes, in the Prometheus text format:
-//   - a metadata preamble: one # HELP / # TYPE pair per metric family the
-//     system can emit, so the exposition passes a promtool-style lint
-//     (tools/validate_metrics.py) without each source carrying metadata;
-//   - per-event raise-latency summaries (p50/p90/p99/max + count/sum),
-//     one series per (event, dispatch kind) plus a merged kind="all"
-//     series, sourced from the obs::Registry histograms;
-//   - flight-recorder health, global and per-thread ring;
-//   - every registered external source. A source is a plain callback;
-//     the Dispatcher registers one per instance covering its Stats,
-//     ThreadPool queue depth / executed counts, EpochDomain reclamation
-//     lag, and QuotaManager per-module usage. The indirection keeps
-//     spin_obs free of dependencies on the layers it observes.
+// Each layer (Dispatcher, Host, Exporter, EventProxy, Fleet, Watchdog)
+// registers a source: a plain callback that appends typed samples (a
+// declared family, label pairs, and a value or, for summaries, a
+// HistogramSnapshot) to a MetricSink. The indirection keeps spin_obs free
+// of dependencies on the layers it observes.
 //
-// The snapshot pipeline is the machine-readable sibling: CaptureStats()
-// collects every histogram and counter in one pass, Delta(a, b) turns two
-// snapshots into a rate window (counters subtract, gauges keep the newer
-// value, histograms subtract bucket-wise), and WriteJsonStats() emits the
-// JSON that tools/spin_top.py renders live.
+// ExportMetrics(os) renders the Prometheus text format, and export.cc is
+// the only code that knows it: one # HELP / # TYPE pair per declared
+// family (so tools/validate_metrics.py passes without sources carrying
+// metadata), then per-(event, dispatch kind) raise-latency summaries with
+// a merged kind="all" series, per-(event, phase) self-time summaries, each
+// followed by its _max gauge, flight-recorder health, and every source in
+// registration order.
 //
-// An HTTP scrape endpoint is one `ExportMetrics(response_body)` away; the
-// library deliberately stops at the stream so embedders choose the server.
+// CaptureStats() builds a snapshot from the same counter and gauge samples,
+// with no text in between; Delta(a, b) turns two snapshots into a rate
+// window, and WriteJsonStats() emits the JSON tools/spin_top.py renders.
 #ifndef SRC_OBS_EXPORT_H_
 #define SRC_OBS_EXPORT_H_
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -35,19 +32,41 @@
 namespace spin {
 namespace obs {
 
-using MetricSourceFn = void (*)(void* ctx, std::ostream& os);
+// One label pair; the value is escaped when the sample is rendered.
+using Label = std::pair<const char*, std::string>;
 
-// Registers/unregisters a metric source keyed by `ctx`. Sources are invoked
-// by ExportMetrics in registration order. Thread-safe.
+// A counter or gauge value, or a summary's distribution (rendered as
+// quantiles plus _count and _sum).
+struct MetricSample {
+  const char* family;  // declared in export.cc's kFamilies
+  std::vector<Label> labels;
+  uint64_t value = 0;
+  std::unique_ptr<HistogramSnapshot> hist;  // summaries only
+};
+
+// Adding a sample of an undeclared family, or of the wrong kind (Add on a
+// summary family, AddSummary on any other), trips a SPIN_DCHECK.
+class MetricSink {
+ public:
+  void Add(const char* family, std::vector<Label> labels, uint64_t value);
+  void AddSummary(const char* family, std::vector<Label> labels,
+                  const HistogramSnapshot& hist);
+  const std::vector<MetricSample>& samples() const { return samples_; }
+
+ private:
+  std::vector<MetricSample> samples_;
+};
+
+using MetricSourceFn = void (*)(void* ctx, MetricSink& sink);
+
+// Registers/unregisters a metric source keyed by `ctx`. Sources run in
+// registration order under the source-list lock, so once UnregisterSource
+// returns the caller may destroy `ctx`. A source must not (un)register.
 void RegisterSource(void* ctx, MetricSourceFn fn);
 void UnregisterSource(void* ctx);
 
 // Writes the full exposition to `os`.
 void ExportMetrics(std::ostream& os);
-
-// Escapes a Prometheus label value (backslash, quote, newline) into `os`.
-// Exposed for sources that build label pairs.
-void WriteLabelValue(std::ostream& os, const std::string& value);
 
 // --- Snapshot / delta ----------------------------------------------------
 
@@ -60,9 +79,9 @@ struct EventStat {
 };
 
 // One counter or gauge sample, identified by its full series string
-// (name{labels}). `counter` follows the Prometheus naming convention:
-// *_total series accumulate and Delta subtracts them; everything else is
-// a gauge and Delta keeps the newer value.
+// (name{labels}, as the exposition spells it). `counter` is the declared
+// family type: counters accumulate and Delta subtracts them; gauges keep
+// the newer value.
 struct SeriesSample {
   std::string series;
   uint64_t value = 0;
@@ -76,9 +95,10 @@ struct StatsSnapshot {
   std::vector<SeriesSample> series;
 };
 
-// Captures every per-event histogram and every exported counter/gauge in
-// one pass (the series list is built from the same sources the text
-// exposition uses, so the two never drift).
+// Captures every per-event histogram and every source and recorder
+// counter/gauge in one pass. The series list comes from the same samples
+// the text exposition renders, so the two never drift. Summaries stay out
+// of it: event histograms are in `events` at full bucket resolution.
 StatsSnapshot CaptureStats();
 
 // The change from snapshot `a` to the later snapshot `b`: counters and

@@ -350,19 +350,16 @@ void Watchdog::UnregisterProbe(void* ctx) {
   poll_cv_.wait(lock, [this] { return polls_in_flight_ == 0; });
 }
 
-void Watchdog::ExportMetricsSource(void* ctx, std::ostream& os) {
+void Watchdog::ExportMetricsSource(void* ctx, MetricSink& sink) {
   auto* self = static_cast<Watchdog*>(ctx);
-  std::map<std::tuple<uint8_t, uint32_t, const char*>, uint64_t> counts;
-  {
-    std::lock_guard<std::mutex> lock(self->mu_);
-    counts = self->counts_;
-  }
-  for (const auto& [key, count] : counts) {
-    os << "spin_anomalies_total{kind=\""
-       << AnomalyKindName(static_cast<AnomalyKind>(std::get<0>(key)))
-       << "\",shard=\"" << std::get<1>(key) << "\",event=\"";
-    WriteLabelValue(os, std::get<2>(key));
-    os << "\"} " << count << "\n";
+  std::lock_guard<std::mutex> lock(self->mu_);
+  for (const auto& [key, count] : self->counts_) {
+    const auto& [kind, shard, event] = key;
+    sink.Add("spin_anomalies_total",
+             {{"kind", AnomalyKindName(static_cast<AnomalyKind>(kind))},
+              {"shard", std::to_string(shard)},
+              {"event", event}},
+             count);
   }
 }
 

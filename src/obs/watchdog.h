@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -41,6 +40,8 @@
 
 namespace spin {
 namespace obs {
+
+class MetricSink;
 
 namespace internal {
 // One relaxed load on the dispatch path decides whether to time a raise
@@ -180,7 +181,7 @@ class Watchdog {
   void MonitorLoop();
   void RefreshSlowDeadlines();
   void RetireBurstLocked();
-  static void ExportMetricsSource(void* ctx, std::ostream& os);
+  static void ExportMetricsSource(void* ctx, MetricSink& sink);
 
   struct Probe {
     void* ctx;

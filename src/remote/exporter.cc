@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <optional>
-#include <ostream>
 #include <utility>
 
 #include "src/codegen/frame.h"
@@ -395,12 +394,10 @@ ReplyMsg Exporter::Dispatch(const RequestMsg& request) {
   return reply;
 }
 
-void Exporter::ExportMetricsSource(void* ctx, std::ostream& os) {
+void Exporter::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
   auto* self = static_cast<Exporter*>(ctx);
-  auto line = [&os, self](const char* name, uint64_t value) {
-    os << name << "{host=\"";
-    obs::WriteLabelValue(os, self->host_.host_name());
-    os << "\"} " << value << "\n";
+  auto line = [&](const char* name, uint64_t value) {
+    sink.Add(name, {{"host", self->host_.host_name()}}, value);
   };
   line("spin_remote_server_requests_total", self->requests_);
   line("spin_remote_server_dedup_hits_total", self->dedup_hits_);

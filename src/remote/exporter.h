@@ -128,7 +128,7 @@ class Exporter {
                     uint16_t source_port);
   void RevokeClient(uint64_t token, const BoundClient& client);
   uint64_t MintToken();
-  static void ExportMetricsSource(void* ctx, std::ostream& os);
+  static void ExportMetricsSource(void* ctx, obs::MetricSink& sink);
 
   net::Host& host_;
   uint16_t port_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <ostream>
 #include <utility>
 
 #include "src/core/errors.h"
@@ -460,34 +459,19 @@ void EventProxy::WatchdogProbeSource(void* ctx,
   out.push_back(backlog);
 }
 
-void EventProxy::ExportMetricsSource(void* ctx, std::ostream& os) {
+void EventProxy::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
   auto* self = static_cast<EventProxy*>(ctx);
-  auto label = [self](std::ostream& o) {
-    o << "{host=\"";
-    obs::WriteLabelValue(o, self->host_.host_name());
-    o << "\",event=\"";
-    obs::WriteLabelValue(o, self->event_.name());
-    o << "\"}";
-  };
-  auto line = [&os, &label](const char* name, uint64_t value) {
-    os << name;
-    label(os);
-    os << " " << value << "\n";
-  };
-  line("spin_remote_client_raises_total", self->raises_);
-  line("spin_remote_client_retries_total", self->retries_);
-  line("spin_remote_client_timeouts_total", self->timeouts_);
-  line("spin_remote_client_dead_raises_total", self->dead_raises_);
-  line("spin_remote_client_revoke_notices_total", self->revoke_notices_);
+  const std::vector<obs::Label> labels = {{"host", self->host_.host_name()},
+                                          {"event", self->event_.name()}};
+  sink.Add("spin_remote_client_raises_total", labels, self->raises_);
+  sink.Add("spin_remote_client_retries_total", labels, self->retries_);
+  sink.Add("spin_remote_client_timeouts_total", labels, self->timeouts_);
+  sink.Add("spin_remote_client_dead_raises_total", labels, self->dead_raises_);
+  sink.Add("spin_remote_client_revoke_notices_total", labels,
+           self->revoke_notices_);
   obs::HistogramSnapshot snap = self->roundtrip_.Snapshot();
   if (snap.count != 0) {
-    for (double q : {0.5, 0.9, 0.99}) {
-      os << "spin_remote_roundtrip_ns{host=\"";
-      obs::WriteLabelValue(os, self->host_.host_name());
-      os << "\",event=\"";
-      obs::WriteLabelValue(os, self->event_.name());
-      os << "\",quantile=\"" << q << "\"} " << snap.Percentile(q) << "\n";
-    }
+    sink.AddSummary("spin_remote_roundtrip_ns", labels, snap);
   }
 }
 

@@ -145,7 +145,7 @@ class EventProxy {
   uint64_t RaiseSync(uint64_t* slots);
   void EnqueueAsync(const uint64_t* slots);
   void OnDatagram(const net::Packet& packet);
-  static void ExportMetricsSource(void* ctx, std::ostream& os);
+  static void ExportMetricsSource(void* ctx, obs::MetricSink& sink);
 
   // Anomaly-watchdog probe: reports the retry counter (the watchdog's rate
   // rule flags a retry storm) and the async outbox backlog each period.

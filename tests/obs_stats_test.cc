@@ -1,14 +1,26 @@
 // Snapshot/delta stats pipeline: CaptureStats covers live events and every
 // exported series, Delta subtracts counters and keeps gauges, and the JSON
-// serialization is what tools/spin_top.py consumes.
+// serialization is what tools/spin_top.py consumes. A scrape and a snapshot
+// taken back to back agree series for series, and neither races a source
+// being unregistered.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "src/core/dispatcher.h"
+#include "src/net/host.h"
 #include "src/obs/export.h"
 #include "src/obs/obs.h"
+#include "src/obs/watchdog.h"
+#include "src/remote/exporter.h"
+#include "src/remote/proxy.h"
+#include "src/sim/simulator.h"
 
 namespace spin {
 namespace {
@@ -219,6 +231,136 @@ TEST(StatsTest, JsonShapeAndEscaping) {
   EXPECT_NE(json.find("\"p50_ns\":"), std::string::npos);
   EXPECT_NE(json.find("spin_y_total{l=\\\"v\\\"}"), std::string::npos);
   EXPECT_NE(json.find("\"value\":9"), std::string::npos);
+}
+
+// The sample lines of an exposition as {series key -> value}, skipping
+// comments and every line of a summary family: its quantiles, _count and
+// _sum, and the _max gauge emitted next to it. `counters` collects the
+// families declared as counters.
+std::map<std::string, uint64_t> ParseExposition(
+    const std::string& text, std::set<std::string>* counters) {
+  std::map<std::string, uint64_t> samples;
+  std::set<std::string> summaries;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::string hash, keyword, family, type;
+    if (line.rfind("# TYPE ", 0) == 0 &&
+        (words >> hash >> keyword >> family >> type)) {
+      if (type == "summary") {
+        summaries.insert(family);
+      } else if (type == "counter") {
+        counters->insert(family);
+      }
+      continue;
+    }
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    bool summary = false;
+    for (const std::string& name : summaries) {
+      summary = summary || line.rfind(name, 0) == 0;
+    }
+    if (summary) {
+      continue;
+    }
+    size_t space = line.rfind(' ');
+    EXPECT_NE(space, std::string::npos) << line;
+    EXPECT_TRUE(samples.emplace(line.substr(0, space),
+                                std::strtoull(line.c_str() + space + 1,
+                                              nullptr, 10))
+                    .second)
+        << "duplicate series " << line;
+  }
+  return samples;
+}
+
+// The snapshot's series list must be exactly the scrape's counter and gauge
+// samples, with the same labels and values, in a quiescent state covering
+// every kind of source: a sharded dispatcher, hosts, an exporter/proxy
+// pair, and a watchdog anomaly.
+TEST(StatsTest, ScrapeAndSnapshotAgree) {
+  Dispatcher::Config config;
+  config.shards = 2;
+  Dispatcher dispatcher(config);
+  sim::Simulator sim;
+  net::Wire wire{&sim, sim::LinkModel{}};
+  net::Host client{"client", 0x0a000001, &dispatcher};
+  net::Host server{"server", 0x0a000002, &dispatcher};
+  wire.Attach(client, server);
+  remote::Exporter exporter(server);
+  Event<void(int64_t)> server_ev("Stats.Remote", nullptr, nullptr,
+                                 &dispatcher);
+  StatsCtx ctx;
+  dispatcher.InstallHandler(server_ev, &Handler, &ctx);
+  exporter.Export(server_ev);
+  Event<void(int64_t)> client_ev("Stats.Remote", nullptr, nullptr,
+                                 &dispatcher);
+  remote::ProxyOptions opts;
+  opts.remote_ip = server.ip();
+  opts.local_port = 9100;
+  remote::EventProxy proxy(client, &sim, client_ev, opts);
+  for (int i = 0; i < 3; ++i) {
+    client_ev.Raise(i);
+  }
+  ASSERT_EQ(proxy.raises(), 3u);
+  obs::Watchdog::Global().Report(obs::AnomalyKind::kQueueStall, "stats/queue",
+                                 1, 5);
+
+  std::ostringstream text;
+  obs::ExportMetrics(text);
+  obs::StatsSnapshot snap = obs::CaptureStats();
+
+  std::set<std::string> counters;
+  std::map<std::string, uint64_t> scraped =
+      ParseExposition(text.str(), &counters);
+  std::map<std::string, uint64_t> captured;
+  for (const obs::SeriesSample& s : snap.series) {
+    EXPECT_TRUE(captured.emplace(s.series, s.value).second)
+        << "duplicate series " << s.series;
+    EXPECT_EQ(s.counter, counters.count(s.series.substr(
+                             0, s.series.find('{'))) == 1)
+        << s.series << ": counter-ness is the declared family type";
+  }
+  EXPECT_EQ(scraped, captured) << text.str();
+
+  for (const char* series :
+       {"spin_dispatcher_shard_raises_total{instance=",
+        "spin_net_rx_packets_total{host=\"server\"}",
+        "spin_remote_server_requests_total{host=\"server\"}",
+        "spin_remote_client_raises_total{host=\"client\","
+        "event=\"Stats.Remote\"} 3",
+        "spin_remote_roundtrip_ns_count{host=\"client\","
+        "event=\"Stats.Remote\"} 3",
+        "spin_anomalies_total{kind=\"queue_stall\",shard=\"1\",event=\"\"}"}) {
+    EXPECT_NE(text.str().find(series), std::string::npos) << series;
+  }
+}
+
+// ~Dispatcher and ~Host unregister their sources and then free themselves.
+// A scrape on another thread must never run a source whose owner is gone:
+// ASan reports it as a use-after-free, TSan as a race on a destroyed mutex.
+TEST(StatsTest, ScrapeRacesSourceUnregistration) {
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::ostringstream os;
+      obs::ExportMetrics(os);
+      obs::CaptureStats();
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  Dispatcher::Config config;
+  config.shards = 2;
+  for (int i = 0; i < 1000; ++i) {
+    Dispatcher dispatcher(config);
+    net::Host host("race", 0x0a0000ff, &dispatcher);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0u);
 }
 
 }  // namespace

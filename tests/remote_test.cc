@@ -851,6 +851,15 @@ TEST_F(RemoteTest, FlightRecorderAndMetricsObserveTheRetryPath) {
                       " 1"),
             std::string::npos);
   EXPECT_NE(text.find("spin_remote_roundtrip_ns"), std::string::npos);
+  // The roundtrip summary has the same shape as the event and phase
+  // summaries: quantiles plus _count and _sum.
+  EXPECT_NE(text.find("spin_remote_roundtrip_ns_count{host=\"client\","
+                      "event=\"Traced.Op\"} "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("spin_remote_roundtrip_ns_sum{host=\"client\","
+                      "event=\"Traced.Op\"} "),
+            std::string::npos);
 }
 
 }  // namespace
