@@ -59,75 +59,105 @@ uint64_t Fold(const DispatchTable& table, uint64_t result, uint64_t current,
   return result;
 }
 
-void ScheduleAsyncBinding(const DispatchTable& table,
-                          const BindingHandle& binding,
-                          const RaiseFrame& frame, int num_args,
-                          const obs::TraceContext& span_ctx,
-                          uint64_t enqueue_ns) {
-  std::array<uint64_t, kMaxEventArgs> slots{};
-  for (int i = 0; i < num_args; ++i) {
-    slots[i] = frame.args[i];
+// The one asynchronous handoff (§2.6): `body` leaves the raiser's thread
+// and runs behind the source's own outbox, the pool queue indexed by
+// `shard`. The raising thread captures its raise source, the span it
+// pre-allocates for the handoff (or the sampled-out skip) and the enqueue
+// time; the pool thread adopts all three before `body` runs, so whatever
+// the body raises stays on the same shard and inside (or outside) the same
+// sampled tree. `index` tags the kAsyncEnqueue record.
+template <typename Body>
+void AsyncHandoff(EventBase& event, uint32_t shard, uint64_t index,
+                  Body body) {
+  // A detached raise is its own top level: decide here, so the enqueue
+  // record and the pool-side execution agree on whether the tree is
+  // sampled. An async binding's raise has already decided.
+  std::optional<obs::SampleScope> sample;
+  if (obs::Enabled() &&
+      obs::CurrentContext().decision == obs::SampleDecision::kUndecided) {
+    sample.emplace(obs::DecideTopLevel());
   }
-  uint64_t budget = table.ephemeral_budget_ns;
-  uint32_t shard = table.shard;
-  // The handler runs behind the raising source's own outbox (the pool queue
-  // indexed by this replica's shard) and keeps that source identity, so any
-  // events it raises in turn stay on the same shard.
-  uint64_t source = CurrentRaiseSource();
-  table.pool->SubmitTo(
+  const char* name = event.obs_name();
+  obs::TraceContext span_ctx{};
+  uint64_t enqueue_ns = 0;
+  if (obs::Capturing()) {
+    // Pre-allocate the handoff's span here so the enqueue record can
+    // announce it (the flow start) before the pool thread exists.
+    const obs::TraceContext& cur = obs::CurrentContext();
+    span_ctx = obs::TraceContext{obs::NewSpanId(), cur.span, cur.host,
+                                 obs::SampleDecision::kTrace};
+    enqueue_ns = NowNs();
+    obs::FlightRecorder::Global().EmitWith(obs::TraceKind::kAsyncEnqueue,
+                                           name, enqueue_ns, index,
+                                           span_ctx.span, span_ctx.parent);
+  } else if (obs::Enabled()) {
+    // Sampled out: hand the skip to the pool thread so it doesn't make a
+    // fresh top-level decision mid-tree.
+    span_ctx.decision = obs::SampleDecision::kSkip;
+  }
+  Dispatcher& owner = event.owner();
+  owner.pool().SubmitTo(
       shard,
-      [binding, slots, budget, span_ctx, source, shard,
-       enqueue_ns]() mutable {
+      [name, span_ctx, enqueue_ns, source = CurrentRaiseSource(),
+       body = std::move(body)]() mutable {
         RaiseSourceScope raise_source(source);
-        // Re-install the enqueue site's sampling decision before anything
-        // here can emit, so the handoff stays inside (or outside) the same
-        // sampled tree. An undecided context — tracing was off at enqueue
-        // time — is left undecided; a nested raise decides fresh.
+        // An undecided context — tracing was off at enqueue time — is left
+        // undecided; a nested raise decides fresh.
         std::optional<obs::SampleScope> sample;
         if (span_ctx.decision != obs::SampleDecision::kUndecided) {
           sample.emplace(span_ctx.decision);
         }
-        const bool tracing = obs::Capturing();
-        // Adopt the span the enqueue site allocated for this handoff so
-        // kAsyncEnqueue (raising thread) and kAsyncExecute (this thread)
-        // stitch; this scope is the span's final executor.
+        // Adopt the enqueue site's span so kAsyncEnqueue (raising thread)
+        // and kAsyncExecute (this thread) stitch; this scope is the span's
+        // final executor.
         std::optional<obs::SpanScope> span;
-        if (tracing && span_ctx.span != 0) {
+        if (span_ctx.span != 0 && obs::Capturing()) {
           span.emplace(span_ctx, /*complete_on_exit=*/true);
+          uint64_t start = NowNs();
+          obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kAsyncExecute,
+                                               name, start);
+          // Queue wait: the enqueue site's clock read to this thread's
+          // execution start — the handoff cost the pool added.
+          obs::EmitPhaseSegment(obs::Phase::kQueueWait, name, enqueue_ns,
+                                start);
         }
-        const bool timed = tracing || obs::WatchdogWantsTiming();
-        uint64_t start = timed ? NowNs() : 0;
-        if (tracing) {
-          obs::FlightRecorder::Global().EmitAt(
-              obs::TraceKind::kAsyncExecute, binding->event->obs_name(),
-              start);
-          if (enqueue_ns != 0) {
-            // Queue wait: the enqueue site's clock read to this thread's
-            // execution start — the handoff cost the pool added.
-            obs::EmitPhaseSegment(obs::Phase::kQueueWait,
-                                  binding->event->obs_name(), enqueue_ns,
-                                  start);
-          }
-        }
-        uint64_t deadline =
-            binding->ephemeral && budget != 0 ? NowNs() + budget : 0;
-        uint64_t result = 0;
         try {
-          obs::PhaseScope body_phase(obs::Phase::kHandlerBody,
-                                     binding->event->obs_name(), tracing);
-          RunHandler(*binding, slots.data(), &result, deadline);
-        } catch (const DispatchError&) {
-          // Detached execution: nobody to report to (§2.6).
-        }
-        if (timed) {
-          uint64_t elapsed = NowNs() - start;
-          obs::EventMetrics& metrics = binding->event->metrics();
-          metrics.Record(obs::DispatchKind::kAsync, elapsed);
-          obs::CheckDispatch(binding->event->obs_name(), shard, elapsed,
-                             metrics.slow_ns());
+          body();
+        } catch (...) {
+          // Detached execution has no raiser to report to (§2.6), and an
+          // escaping exception would end the process on the pool thread.
         }
       },
-      table.async_mode);
+      owner.config().async_mode);
+}
+
+// An async binding whose guards admitted the raise: only its body runs
+// detached, under the table's EPHEMERAL budget.
+void ScheduleAsyncBinding(EventBase& event, const DispatchTable& table,
+                          uint32_t shard, size_t index,
+                          const BindingHandle& binding,
+                          const RaiseFrame& frame) {
+  std::array<uint64_t, kMaxEventArgs> slots = std::to_array(frame.args);
+  uint64_t budget = table.ephemeral_budget_ns;
+  AsyncHandoff(event, shard, index, [binding, slots, budget, shard]() mutable {
+    const char* name = binding->event->obs_name();
+    const bool tracing = obs::Capturing();
+    const bool timed = tracing || obs::WatchdogWantsTiming();
+    uint64_t start = timed ? NowNs() : 0;
+    uint64_t deadline =
+        binding->ephemeral && budget != 0 ? NowNs() + budget : 0;
+    uint64_t result = 0;
+    {
+      obs::PhaseScope body_phase(obs::Phase::kHandlerBody, name, tracing);
+      RunHandler(*binding, slots.data(), &result, deadline);
+    }
+    if (timed) {
+      uint64_t elapsed = NowNs() - start;
+      obs::EventMetrics& metrics = binding->event->metrics();
+      metrics.Record(obs::DispatchKind::kAsync, elapsed);
+      obs::CheckDispatch(name, shard, elapsed, metrics.slow_ns());
+    }
+  });
 }
 
 }  // namespace
@@ -220,10 +250,13 @@ bool RunHandler(const Binding& binding, uint64_t* slots, uint64_t* result,
   return true;
 }
 
+namespace {
+
+// Executes one dispatch against `table`. Async bindings it admits go to
+// the outbox of `shard`, the shard the raise was routed to.
 void ExecuteTable(EventBase& event, const DispatchTable& table,
-                  RaiseFrame& frame) {
+                  uint32_t shard, RaiseFrame& frame) {
   frame.result = table.InitialResult();
-  int num_args = static_cast<int>(event.sig().params.size());
 
   const bool tracing = obs::Capturing();
 
@@ -301,25 +334,7 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
       }
       continue;
     }
-    obs::TraceContext span_ctx{};
-    uint64_t enqueue_ns = 0;
-    if (tracing) {
-      // Pre-allocate the handoff's span here so the enqueue record can
-      // announce it (the flow start) before the pool thread exists.
-      const obs::TraceContext& cur = obs::CurrentContext();
-      span_ctx = obs::TraceContext{obs::NewSpanId(), cur.span, cur.host,
-                                   obs::SampleDecision::kTrace};
-      enqueue_ns = NowNs();
-      obs::FlightRecorder::Global().EmitWith(
-          obs::TraceKind::kAsyncEnqueue, event.obs_name(), enqueue_ns, i,
-          span_ctx.span, span_ctx.parent);
-    } else if (obs::Enabled()) {
-      // This raise was sampled out: hand the skip to the pool thread so it
-      // doesn't make a fresh top-level decision mid-tree.
-      span_ctx.decision = obs::SampleDecision::kSkip;
-    }
-    ScheduleAsyncBinding(table, binding, frame, num_args, span_ctx,
-                         enqueue_ns);
+    ScheduleAsyncBinding(event, table, shard, i, binding, frame);
     ++frame.fired;
   }
 
@@ -336,6 +351,8 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
     }
   }
 }
+
+}  // namespace
 
 void EventBase::RaiseErased(RaiseFrame& frame) {
   Dispatcher& dispatcher = *owner_;
@@ -380,7 +397,7 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
       promote = lazy_raises_.fetch_add(1, std::memory_order_relaxed) + 1 >=
                 dispatcher.config().lazy_promote_raises;
     }
-    ExecuteTable(*this, *table, frame);
+    ExecuteTable(*this, *table, shard, frame);
   }
   if (promote) {
     // The event proved hot: compile its dispatch routine now (§3.1's
@@ -399,69 +416,13 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
 }
 
 void EventBase::RaiseAsyncErased(const RaiseFrame& frame) {
-  ThreadPool* pool = nullptr;
-  AsyncMode mode = AsyncMode::kPooled;
+  // The detached dispatch re-raises under the pinned source, so it lands on
+  // the shard replica the synchronous path would have used.
   const uint32_t nshards = owner_->shard_count();
   const uint32_t shard =
       nshards > 1 ? ShardFor(CurrentRaiseSource(), nshards) : 0;
-  {
-    EpochDomain::Guard guard(owner_->shard_epoch(shard));
-    DispatchTable* table = table_slot(shard).load(std::memory_order_acquire);
-    pool = table->pool;
-    mode = table->async_mode;
-  }
-  // A detached raise is its own top level: decide here, at the enqueue
-  // site, so the kAsyncEnqueue record and the pool-side execution agree on
-  // whether the tree is sampled.
-  std::optional<obs::SampleScope> sample;
-  if (obs::Enabled() &&
-      obs::CurrentContext().decision == obs::SampleDecision::kUndecided) {
-    sample.emplace(obs::DecideTopLevel());
-  }
-  obs::TraceContext span_ctx{};
-  uint64_t enqueue_ns = 0;
-  if (obs::Capturing()) {
-    const obs::TraceContext& cur = obs::CurrentContext();
-    span_ctx = obs::TraceContext{obs::NewSpanId(), cur.span, cur.host,
-                                 obs::SampleDecision::kTrace};
-    enqueue_ns = NowNs();
-    obs::FlightRecorder::Global().EmitWith(obs::TraceKind::kAsyncEnqueue,
-                                           obs_name_, enqueue_ns, 0,
-                                           span_ctx.span, span_ctx.parent);
-  } else if (obs::Enabled()) {
-    span_ctx.decision = obs::SampleDecision::kSkip;
-  }
-  RaiseFrame copy = frame;
-  // The detached dispatch runs behind the source's outbox and re-raises
-  // with the same source identity, so it lands on the same shard replica
-  // the synchronous path would have used.
-  uint64_t source = CurrentRaiseSource();
-  pool->SubmitTo(
-      shard,
-      [this, copy, span_ctx, source, enqueue_ns]() mutable {
-        RaiseSourceScope raise_source(source);
-        std::optional<obs::SampleScope> sample;
-        if (span_ctx.decision != obs::SampleDecision::kUndecided) {
-          sample.emplace(span_ctx.decision);
-        }
-        std::optional<obs::SpanScope> span;
-        if (obs::Capturing() && span_ctx.span != 0) {
-          span.emplace(span_ctx, /*complete_on_exit=*/true);
-          uint64_t exec_ns = NowNs();
-          obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kAsyncExecute,
-                                               obs_name_, exec_ns);
-          if (enqueue_ns != 0) {
-            obs::EmitPhaseSegment(obs::Phase::kQueueWait, obs_name_,
-                                  enqueue_ns, exec_ns);
-          }
-        }
-        try {
-          RaiseErased(copy);
-        } catch (const DispatchError&) {
-          // Detached raise: errors have no raiser to land on.
-        }
-      },
-      mode);
+  AsyncHandoff(*this, shard, 0,
+               [this, copy = frame]() mutable { RaiseErased(copy); });
 }
 
 bool EventBase::has_default_handler() const {

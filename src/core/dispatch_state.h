@@ -30,7 +30,6 @@
 #include "src/codegen/stub_compiler.h"
 #include "src/core/binding.h"
 #include "src/obs/obs.h"
-#include "src/rt/thread_pool.h"
 #include "src/types/module.h"
 #include "src/types/signature.h"
 
@@ -66,14 +65,6 @@ struct DispatchTable {
   // Generated dispatch routine covering sync_bindings (null => interpret),
   // shared by every shard's replica of this table.
   std::shared_ptr<const codegen::CompiledStub> stub;
-
-  AsyncMode async_mode = AsyncMode::kPooled;
-  ThreadPool* pool = nullptr;
-
-  // Which shard this replica serves: async work it schedules goes to the
-  // pool queue of the same index, keeping a source's async handlers behind
-  // its own outbox. Always 0 for single-shard dispatchers.
-  uint32_t shard = 0;
 
   // Lazy-compile mode: this table is interpreted, but the event should be
   // promoted to a compiled table once it proves hot.
@@ -223,12 +214,6 @@ class EventBase {
   std::atomic<uint32_t> lazy_raises_{0};
   bool hot_ = false;  // guarded by the dispatcher's mutex
 };
-
-// Executes one dispatch against `table`. Declared here (implemented in
-// dispatch_state.cc) so both the raise path and the async redispatch share
-// it.
-void ExecuteTable(EventBase& event, const DispatchTable& table,
-                  RaiseFrame& frame);
 
 // Evaluates one binding's guards against the argument slots (used inline by
 // the interpreter and for async bindings before scheduling).

@@ -831,8 +831,6 @@ Dispatcher::Stats Dispatcher::stats() const {
 
 void Dispatcher::RebuildLocked(EventBase& event) {
   auto table = std::make_unique<DispatchTable>();
-  table->pool = pool_;
-  table->async_mode = config_.async_mode;
   table->returns_value = event.sig().result.cls != TypeClass::kVoid;
   table->result_is_bool = event.sig().result.cls == TypeClass::kBool;
   table->policy = table->returns_value ? event.policy_ : ResultPolicy::kNone;
@@ -992,7 +990,6 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   // compiled stub, which lives until the last of them is reclaimed.
   for (uint32_t s = 1; s < shard_count_; ++s) {
     auto replica = std::make_unique<DispatchTable>(*table);
-    replica->shard = s;
     DispatchTable* old = event.table_slot(s).exchange(
         replica.release(), std::memory_order_acq_rel);
     if (old != nullptr) {

@@ -79,15 +79,6 @@ void ThreadPool::Enqueue(size_t index, std::function<void()> task) {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task, AsyncMode mode) {
-  if (mode == AsyncMode::kSpawn) {
-    Spawn(std::move(task));
-    return;
-  }
-  Enqueue(next_queue_.fetch_add(1, std::memory_order_relaxed),
-          std::move(task));
-}
-
 void ThreadPool::SubmitTo(size_t queue, std::function<void()> task,
                           AsyncMode mode) {
   if (mode == AsyncMode::kSpawn) {

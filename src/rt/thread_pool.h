@@ -12,7 +12,7 @@
 // The pooled discipline is multi-queue: one deque per worker, each with its
 // own lock, the way per-queue NIC rings keep producers off one shared ring.
 // SubmitTo(queue, task) pins work to a queue — the sharded dispatcher routes
-// each shard's async outbox to its own queue — and plain Submit round-robins.
+// each shard's async outbox to its own queue.
 // Worker i drains queue i first and steals from the other queues' tails when
 // its own runs dry, so a skewed shard hash degrades to shared-queue behavior
 // instead of idling workers. Per-queue depth/executed/stolen counters feed
@@ -48,13 +48,9 @@ class ThreadPool {
   // Process-wide pool used by dispatchers unless configured otherwise.
   static ThreadPool& Global();
 
-  // Enqueues (or spawns) a task. Never blocks on task execution. Pooled
-  // tasks are spread round-robin across the queues.
-  void Submit(std::function<void()> task, AsyncMode mode = AsyncMode::kPooled);
-
-  // Enqueues a task on queue `queue % queues()`. The queue's pinned worker
-  // drains it in FIFO order; idle workers may steal from the tail. kSpawn
-  // ignores the queue index.
+  // Enqueues a task on queue `queue % queues()`, or spawns it. Never blocks
+  // on task execution. The queue's pinned worker drains it in FIFO order;
+  // idle workers may steal from the tail. kSpawn ignores the queue index.
   void SubmitTo(size_t queue, std::function<void()> task,
                 AsyncMode mode = AsyncMode::kPooled);
 
@@ -116,7 +112,6 @@ class ThreadPool {
   // FinishTask after in_flight_ hits zero). The destructor must not tear
   // the pool down until each one has made its final store here.
   std::atomic<size_t> spawn_live_{0};
-  std::atomic<uint64_t> next_queue_{0};  // round-robin cursor for Submit
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> steals_{0};
   bool shutdown_ = false;  // guarded by mu_

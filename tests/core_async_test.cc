@@ -1,6 +1,7 @@
 // Asynchronous events and handlers (§2.6).
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -12,12 +13,17 @@ namespace {
 
 std::atomic<int> g_sync_calls{0};
 std::atomic<int> g_async_calls{0};
+std::atomic<int> g_throw_calls{0};
 std::atomic<std::thread::id> g_async_thread{};
 
 void SyncHandler(int64_t, int64_t) { g_sync_calls.fetch_add(1); }
 void AsyncHandler(int64_t, int64_t) {
   g_async_thread.store(std::this_thread::get_id());
   g_async_calls.fetch_add(1);
+}
+void ThrowingHandler(int64_t, int64_t) {
+  g_throw_calls.fetch_add(1);
+  throw std::runtime_error("detached body failed");
 }
 bool GuardFalse(int64_t, int64_t) { return false; }
 int64_t DefaultZero(int64_t, int64_t) { return 0; }
@@ -27,6 +33,7 @@ class AsyncTest : public ::testing::Test {
   void SetUp() override {
     g_sync_calls = 0;
     g_async_calls = 0;
+    g_throw_calls = 0;
   }
   Module module_{"AsyncTest"};
   Dispatcher dispatcher_;
@@ -119,6 +126,37 @@ TEST_F(AsyncTest, AsyncNoHandlerIsAbsorbed) {
                                       &dispatcher_);
   EXPECT_NO_THROW(event.RaiseAsync(1, 2));
   dispatcher_.pool().Drain();  // the detached NoHandlerError is swallowed
+}
+
+// A detached body has no raiser to report to: whatever it throws, not only
+// a DispatchError, stays on the pool thread instead of ending the process.
+TEST_F(AsyncTest, ThrowingAsyncHandlerIsContained) {
+  Event<void(int64_t, int64_t)> event("Test.AsyncThrow", &module_, nullptr,
+                                      &dispatcher_);
+  dispatcher_.InstallHandler(
+      event, &ThrowingHandler,
+      {.async = true, .may_throw = true, .module = &module_});
+  dispatcher_.InstallHandler(event, &AsyncHandler,
+                             {.async = true, .module = &module_});
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_NO_THROW(event.Raise(i, i));
+  }
+  dispatcher_.pool().Drain();
+  EXPECT_EQ(g_throw_calls.load(), 4);
+  EXPECT_EQ(g_async_calls.load(), 4)
+      << "later async bindings of the same raise still run";
+}
+
+TEST_F(AsyncTest, ThrowingDetachedRaiseIsContained) {
+  Event<void(int64_t, int64_t)> event("Test.RaiseAsyncThrow", &module_,
+                                      nullptr, &dispatcher_);
+  dispatcher_.InstallHandler(event, &ThrowingHandler,
+                             {.may_throw = true, .module = &module_});
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_NO_THROW(event.RaiseAsync(i, i));
+  }
+  dispatcher_.pool().Drain();
+  EXPECT_EQ(g_throw_calls.load(), 4);
 }
 
 TEST_F(AsyncTest, SpawnModeAlsoWorks) {

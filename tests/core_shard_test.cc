@@ -187,6 +187,49 @@ TEST(ShardTest, DetachedRaiseKeepsSourceShard) {
   EXPECT_EQ(dispatcher.shard_raises(shard) - raises_before, 16u);
 }
 
+struct SourceProbe {
+  Event<void(int64_t)>* nested = nullptr;
+  std::atomic<uint64_t> seen{0};
+};
+
+void ProbeSource(SourceProbe* probe, int64_t v) {
+  probe->seen.store(CurrentRaiseSource(), std::memory_order_relaxed);
+  probe->nested->Raise(v);
+}
+
+TEST(ShardTest, AsyncHandlerKeepsSourceShard) {
+  Module module("Shards");
+  ThreadPool pool(4);
+  Dispatcher::Config config;
+  config.shards = 4;
+  config.pool = &pool;
+  config.allow_direct = false;  // the nested raise must reach a shard
+  Dispatcher dispatcher(config);
+  Event<void(int64_t)> event("Shards.AsyncSource", &module, nullptr,
+                             &dispatcher);
+  Event<void(int64_t)> nested("Shards.Nested", &module, nullptr,
+                              &dispatcher);
+  SourceProbe probe;
+  probe.nested = &nested;
+  g_fired = 0;
+  dispatcher.InstallHandler(nested, &CountFired, {.module = &module});
+  dispatcher.InstallHandler(event, &ProbeSource, &probe,
+                            {.async = true, .module = &module});
+  const uint32_t shard = 3;
+  const uint64_t source = SourceOnShard(shard, dispatcher.shard_count());
+  uint64_t raises_before = dispatcher.shard_raises(shard);
+  {
+    RaiseSourceScope scope(source);
+    event.Raise(1);
+  }
+  pool.Drain();
+  EXPECT_EQ(probe.seen.load(), source)
+      << "the async body runs under the raiser's pinned source";
+  EXPECT_EQ(g_fired.load(), 1u);
+  // The outer raise and the nested one both count on the source's shard.
+  EXPECT_EQ(dispatcher.shard_raises(shard) - raises_before, 2u);
+}
+
 TEST(ShardTest, UnregisterSynchronizesEveryShard) {
   Module module("Shards");
   Dispatcher::Config config;

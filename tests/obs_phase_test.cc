@@ -262,36 +262,45 @@ void AsyncHandler(CountCtx* ctx, int64_t) { ++ctx->calls; }
 
 // An async handoff stamps the queue_wait segment: enqueue timestamp on the
 // raising thread, execution start on the pool thread, self-time their
-// difference.
+// difference. Both async forms cross it: an async binding and a detached
+// raise.
 TEST(ObsPhaseTest, AsyncHandoffStampsQueueWait) {
-  obs::FlightRecorder::Global().Reset();
-  obs::ResetPhaseStats();
-  Dispatcher dispatcher;
-  CountCtx ctx;
-  Event<void(int64_t)> event("Phase.Async", nullptr, nullptr, &dispatcher);
-  dispatcher.InstallHandler(event, &AsyncHandler, &ctx, {.async = true});
+  for (bool detached : {false, true}) {
+    SCOPED_TRACE(detached ? "detached raise" : "async binding");
+    obs::FlightRecorder::Global().Reset();
+    obs::ResetPhaseStats();
+    Dispatcher dispatcher;
+    CountCtx ctx;
+    Event<void(int64_t)> event("Phase.Async", nullptr, nullptr, &dispatcher);
+    dispatcher.InstallHandler(event, &AsyncHandler, &ctx,
+                              {.async = !detached});
 
-  dispatcher.EnableTracing(true);
-  event.Raise(7);
-  dispatcher.pool().Drain();
-  dispatcher.EnableTracing(false);
-  EXPECT_EQ(ctx.calls, 1);
+    dispatcher.EnableTracing(true);
+    if (detached) {
+      event.RaiseAsync(7);
+    } else {
+      event.Raise(7);
+    }
+    dispatcher.pool().Drain();
+    dispatcher.EnableTracing(false);
+    EXPECT_EQ(ctx.calls, 1);
 
-  bool queue_wait = false;
-  bool body = false;
-  for (const obs::MergedRecord& m : PhaseRecords("Phase.Async")) {
-    obs::Phase phase = obs::PhaseOfArg(m.rec.arg);
-    if (phase == obs::Phase::kQueueWait) {
-      queue_wait = true;
-      EXPECT_GE(m.rec.end_ns, m.rec.ts_ns);
-      EXPECT_EQ(obs::PhaseSelfNs(m.rec.arg), m.rec.end_ns - m.rec.ts_ns);
+    bool queue_wait = false;
+    bool body = false;
+    for (const obs::MergedRecord& m : PhaseRecords("Phase.Async")) {
+      obs::Phase phase = obs::PhaseOfArg(m.rec.arg);
+      if (phase == obs::Phase::kQueueWait) {
+        queue_wait = true;
+        EXPECT_GE(m.rec.end_ns, m.rec.ts_ns);
+        EXPECT_EQ(obs::PhaseSelfNs(m.rec.arg), m.rec.end_ns - m.rec.ts_ns);
+      }
+      if (phase == obs::Phase::kHandlerBody) {
+        body = true;
+      }
     }
-    if (phase == obs::Phase::kHandlerBody) {
-      body = true;
-    }
+    EXPECT_TRUE(queue_wait);
+    EXPECT_TRUE(body) << "the pool body is a handler_body segment";
   }
-  EXPECT_TRUE(queue_wait);
-  EXPECT_TRUE(body) << "the pool body is a handler_body segment";
   obs::FlightRecorder::Global().Reset();
 }
 

@@ -149,41 +149,58 @@ TEST(SpanTest, NestedRaiseOpensChildSpan) {
 
 void AsyncHandler(NestCtx*, int64_t) {}
 
+// Both async forms cross the one handoff: an async binding, whose body
+// alone leaves the raising thread, and a detached raise, whose whole
+// dispatch does.
 TEST(SpanTest, AsyncHandoffCarriesSpanAcrossThreads) {
-  obs::FlightRecorder::Global().Reset();
-  Dispatcher dispatcher;
-  Module module("SpanTest");
-  Event<void(int64_t)> event("Span.Async", &module, nullptr, &dispatcher);
-  NestCtx ctx;
-  dispatcher.InstallHandler(event, &AsyncHandler, &ctx,
-                            {.async = true, .module = &module});
+  for (bool detached : {false, true}) {
+    SCOPED_TRACE(detached ? "detached raise" : "async binding");
+    obs::FlightRecorder::Global().Reset();
+    Dispatcher dispatcher;
+    Module module("SpanTest");
+    Event<void(int64_t)> event("Span.Async", &module, nullptr, &dispatcher);
+    NestCtx ctx;
+    dispatcher.InstallHandler(event, &AsyncHandler, &ctx,
+                              {.async = !detached, .module = &module});
 
-  dispatcher.EnableTracing(true);
-  event.Raise(1);
-  dispatcher.pool().Drain();
-  dispatcher.EnableTracing(false);
-
-  auto records = obs::FlightRecorder::Global().Snapshot();
-  const obs::MergedRecord* begin = FindRaiseBegin(records, "Span.Async");
-  const obs::MergedRecord* enqueue = nullptr;
-  const obs::MergedRecord* execute = nullptr;
-  for (const obs::MergedRecord& m : records) {
-    if (m.rec.kind == obs::TraceKind::kAsyncEnqueue) {
-      enqueue = &m;
+    dispatcher.EnableTracing(true);
+    if (detached) {
+      event.RaiseAsync(1);
+    } else {
+      event.Raise(1);
     }
-    if (m.rec.kind == obs::TraceKind::kAsyncExecute) {
-      execute = &m;
+    dispatcher.pool().Drain();
+    dispatcher.EnableTracing(false);
+
+    auto records = obs::FlightRecorder::Global().Snapshot();
+    const obs::MergedRecord* begin = FindRaiseBegin(records, "Span.Async");
+    const obs::MergedRecord* enqueue = nullptr;
+    const obs::MergedRecord* execute = nullptr;
+    for (const obs::MergedRecord& m : records) {
+      if (m.rec.kind == obs::TraceKind::kAsyncEnqueue) {
+        enqueue = &m;
+      }
+      if (m.rec.kind == obs::TraceKind::kAsyncExecute) {
+        execute = &m;
+      }
+    }
+    ASSERT_NE(begin, nullptr);
+    ASSERT_NE(enqueue, nullptr);
+    ASSERT_NE(execute, nullptr);
+    EXPECT_NE(enqueue->rec.span, 0u);
+    EXPECT_EQ(enqueue->rec.span, execute->rec.span)
+        << "both handoff ends carry the pre-allocated child span";
+    EXPECT_NE(enqueue->tid, execute->tid)
+        << "the execute end ran on a pool thread";
+    if (detached) {
+      EXPECT_EQ(begin->rec.parent, enqueue->rec.span)
+          << "the detached dispatch is a child of the handoff span";
+      EXPECT_EQ(begin->tid, execute->tid);
+    } else {
+      EXPECT_EQ(enqueue->rec.parent, begin->rec.span);
+      EXPECT_EQ(begin->tid, enqueue->tid);
     }
   }
-  ASSERT_NE(begin, nullptr);
-  ASSERT_NE(enqueue, nullptr);
-  ASSERT_NE(execute, nullptr);
-  EXPECT_NE(enqueue->rec.span, 0u);
-  EXPECT_EQ(enqueue->rec.span, execute->rec.span)
-      << "both handoff ends carry the pre-allocated child span";
-  EXPECT_EQ(enqueue->rec.parent, begin->rec.span);
-  EXPECT_NE(enqueue->tid, execute->tid)
-      << "the execute end ran on a pool thread";
   obs::FlightRecorder::Global().Reset();
 }
 
@@ -343,6 +360,47 @@ TEST(SampleTest, UnsampledRaisesEmitNothing) {
         << obs::TraceKindName(m.rec.kind)
         << " leaked from a sampled-out raise";
   }
+}
+
+// A detached raise is decided at its enqueue site, and a sampled-out one
+// hands its skip to the pool thread. Were the pool to decide afresh, its
+// own countdown would add trees: a fresh single worker at 1-in-4 would
+// capture every 4th raise it was handed as skipped.
+TEST(SampleTest, DetachedRaisesKeepTheEnqueueDecision) {
+  ThreadPool pool(1);
+  Dispatcher::Config config;
+  config.pool = &pool;
+  Dispatcher dispatcher(config);
+  Module module("SampleTest");
+  Event<void(int64_t)> event("Sample.Detached", &module, nullptr,
+                             &dispatcher);
+  NestCtx ctx;
+  dispatcher.InstallHandler(event, &InnerHandler, &ctx, {.module = &module});
+  ResetSampleCountdown();
+  obs::FlightRecorder::Global().Reset();
+
+  dispatcher.SetTracing({obs::TraceMode::kSampled, 4});
+  for (int i = 0; i < 16; ++i) {
+    event.RaiseAsync(i);
+    pool.Drain();
+  }
+  dispatcher.SetTracing({obs::TraceMode::kOff});
+
+  size_t roots = 0;
+  size_t executes = 0;
+  for (const obs::MergedRecord& m :
+       obs::FlightRecorder::Global().Snapshot()) {
+    if (m.rec.kind == obs::TraceKind::kRaiseBegin &&
+        std::string(m.rec.name) == "Sample.Detached") {
+      ++roots;
+    }
+    if (m.rec.kind == obs::TraceKind::kAsyncExecute) {
+      ++executes;
+    }
+  }
+  EXPECT_EQ(roots, 4u) << "16 detached raises at 1-in-4";
+  EXPECT_EQ(executes, 4u);
+  obs::FlightRecorder::Global().Reset();
 }
 
 TEST(SampleTest, RateOneSamplingCapturesEveryRaise) {

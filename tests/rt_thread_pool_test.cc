@@ -11,7 +11,7 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
+    pool.SubmitTo(i, [&] { count.fetch_add(1); });
   }
   pool.Drain();
   EXPECT_EQ(count.load(), 100);
@@ -21,7 +21,7 @@ TEST(ThreadPoolTest, SpawnModeRunsDetached) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
   for (int i = 0; i < 16; ++i) {
-    pool.Submit([&] { count.fetch_add(1); }, AsyncMode::kSpawn);
+    pool.SubmitTo(i, [&] { count.fetch_add(1); }, AsyncMode::kSpawn);
   }
   pool.Drain();
   EXPECT_EQ(count.load(), 16);
@@ -36,9 +36,9 @@ TEST(ThreadPoolTest, DrainWithNoTasksReturnsImmediately) {
 TEST(ThreadPoolTest, TasksMaySubmitTasks) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.Submit([&] {
+  pool.SubmitTo(0, [&] {
     for (int i = 0; i < 10; ++i) {
-      pool.Submit([&] { count.fetch_add(1); });
+      pool.SubmitTo(i, [&] { count.fetch_add(1); });
     }
   });
   pool.Drain();
@@ -50,7 +50,7 @@ TEST(ThreadPoolTest, DestructorDrains) {
   {
     ThreadPool pool(3);
     for (int i = 0; i < 50; ++i) {
-      pool.Submit([&] { count.fetch_add(1); });
+      pool.SubmitTo(i, [&] { count.fetch_add(1); });
     }
   }
   EXPECT_EQ(count.load(), 50);
@@ -111,20 +111,6 @@ TEST(ThreadPoolTest, AllQueuesDrainWhenWorkIsPinnedToOne) {
   // loaded machine), but it can never exceed what queue 0 held.
   EXPECT_LE(pool.steals(), 200u);
   EXPECT_EQ(pool.steals(), pool.steals(0));
-}
-
-TEST(ThreadPoolTest, RoundRobinSubmitSpreadsAcrossQueues) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 400; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
-  }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 400);
-  // Round-robin distributes submissions evenly across the four queues.
-  for (size_t q = 0; q < pool.queues(); ++q) {
-    EXPECT_EQ(pool.executed(q), 100u) << "queue " << q;
-  }
 }
 
 }  // namespace
