@@ -448,7 +448,7 @@ std::string CompiledStub::lir_text() const {
 std::unique_ptr<CompiledStub> CompiledStub::Clone() const {
   // The emitted code is position-independent: callee addresses are imm64
   // materializations called through a register, and every branch is an
-  // internal rel32 resolved at emission. A byte copy into fresh pages is
+  // internal rel32 resolved at emission. A byte copy into a fresh chunk is
   // therefore an exact replica. The source mapping is PROT_READ|PROT_EXEC,
   // so reading it back is legal.
   const auto* code = static_cast<const uint8_t*>(buffer_->entry());

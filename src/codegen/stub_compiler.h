@@ -97,13 +97,13 @@ class CompiledStub {
   CompiledStub(std::unique_ptr<CodeBuffer> buffer, std::vector<LInsn> lir,
                size_t peephole_rewrites);
 
-  // Byte-copies the routine into a fresh executable mapping. The emitted
+  // Byte-copies the routine into a fresh code-arena chunk. The emitted
   // code is position-independent (register-indirect calls, internal rel32
   // branches only), so the copy is an exact functional replica. The
   // dispatcher never copies a stub — every shard's table replica shares the
-  // one read-only mapping — so this serves only the position-independence
+  // one read-only chunk — so this serves only the position-independence
   // check of the golden corpus and the clone-cost probe. Returns nullptr if
-  // the platform refuses a new executable mapping.
+  // the code arena cannot take the copy.
   std::unique_ptr<CompiledStub> Clone() const;
 
   DispatchStubFn entry() const {

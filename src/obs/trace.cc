@@ -123,7 +123,7 @@ FlightRecorder::Ring* FlightRecorder::ThreadRing() {
   auto* ring = new Ring();
   ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
   size_t cap = capacity_.load(std::memory_order_relaxed);
-  ring->slots.resize(cap);
+  ring->slots.reset(new Slot[cap]);
   ring->mask = cap - 1;
   Ring* head = rings_.load(std::memory_order_relaxed);
   do {
@@ -164,24 +164,13 @@ void FlightRecorder::EmitWith(TraceKind kind, const char* name,
   if (span == 0) {
     internal::CountOrphanRecord();
   }
-  Ring* ring = ThreadRing();
-  uint64_t h = ring->head.load(std::memory_order_relaxed);
-  if (h >= ring->slots.size()) {
-    // Single writer: a plain load/store pair beats a locked add.
-    ring->overwrites.store(
-        ring->overwrites.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-  TraceRecord& slot = ring->slots[h & ring->mask];
-  slot.ts_ns = ts_ns;
-  slot.name = name;
-  slot.arg = arg;
-  slot.span = span;
-  slot.parent = parent;
-  slot.end_ns = 0;  // slots are reused; only kPhase (EmitPhase) sets this
-  slot.host = CurrentContext().host;
-  slot.kind = kind;
-  ring->head.store(h + 1, std::memory_order_release);
+  Append(TraceRecord{.ts_ns = ts_ns,
+                     .name = name,
+                     .arg = arg,
+                     .span = span,
+                     .parent = parent,
+                     .host = CurrentContext().host,
+                     .kind = kind});
 }
 
 void FlightRecorder::EmitPhase(const char* name, Phase phase, uint64_t t_start,
@@ -196,24 +185,38 @@ void FlightRecorder::EmitPhase(const char* name, Phase phase, uint64_t t_start,
   if (ctx.span == 0) {
     internal::CountOrphanRecord();
   }
-  Ring* ring = ThreadRing();
-  uint64_t h = ring->head.load(std::memory_order_relaxed);
-  if (h >= ring->slots.size()) {
-    ring->overwrites.store(
-        ring->overwrites.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-  TraceRecord& slot = ring->slots[h & ring->mask];
-  slot.ts_ns = t_start;
-  slot.name = name;
-  slot.arg = PackPhaseArg(phase, self_ns);
-  slot.span = ctx.span;
-  slot.parent = ctx.parent;
-  slot.end_ns = t_end;
-  slot.host = ctx.host;
-  slot.kind = TraceKind::kPhase;
-  ring->head.store(h + 1, std::memory_order_release);
+  Append(TraceRecord{.ts_ns = t_start,
+                     .name = name,
+                     .arg = PackPhaseArg(phase, self_ns),
+                     .span = ctx.span,
+                     .parent = ctx.parent,
+                     .end_ns = t_end,
+                     .host = ctx.host,
+                     .kind = TraceKind::kPhase});
   RecordPhase(name, phase, self_ns);
+}
+
+void FlightRecorder::Append(const TraceRecord& rec) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  Ring* ring = ThreadRing();
+  uint64_t h = ring->head.load(kRelaxed);
+  if (h > ring->mask) {
+    // Single writer: a plain load/store pair beats a locked add.
+    ring->overwrites.store(ring->overwrites.load(kRelaxed) + 1, kRelaxed);
+  }
+  Slot& slot = ring->slots[h & ring->mask];
+  slot.seq.store(2 * h + 1, kRelaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  slot.ts_ns.store(rec.ts_ns, kRelaxed);
+  slot.name.store(rec.name, kRelaxed);
+  slot.arg.store(rec.arg, kRelaxed);
+  slot.span.store(rec.span, kRelaxed);
+  slot.parent.store(rec.parent, kRelaxed);
+  slot.end_ns.store(rec.end_ns, kRelaxed);
+  slot.host.store(rec.host, kRelaxed);
+  slot.kind.store(rec.kind, kRelaxed);
+  slot.seq.store(2 * h + 2, std::memory_order_release);
+  ring->head.store(h + 1, std::memory_order_release);
 }
 
 std::vector<MergedRecord> FlightRecorder::Snapshot() const {
@@ -224,7 +227,26 @@ std::vector<MergedRecord> FlightRecorder::Snapshot() const {
     uint64_t cap = ring->mask + 1;
     uint64_t n = head < cap ? head : cap;
     for (uint64_t i = head - n; i < head; ++i) {
-      merged.push_back(MergedRecord{ring->slots[i & ring->mask], ring->tid});
+      constexpr auto kRelaxed = std::memory_order_relaxed;
+      const Slot& slot = ring->slots[i & ring->mask];
+      const uint64_t published = 2 * i + 2;
+      if (slot.seq.load(std::memory_order_acquire) != published) {
+        continue;  // being rewritten, or already lapped by a newer record
+      }
+      MergedRecord m;
+      m.tid = ring->tid;
+      m.rec.ts_ns = slot.ts_ns.load(kRelaxed);
+      m.rec.name = slot.name.load(kRelaxed);
+      m.rec.arg = slot.arg.load(kRelaxed);
+      m.rec.span = slot.span.load(kRelaxed);
+      m.rec.parent = slot.parent.load(kRelaxed);
+      m.rec.end_ns = slot.end_ns.load(kRelaxed);
+      m.rec.host = slot.host.load(kRelaxed);
+      m.rec.kind = slot.kind.load(kRelaxed);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (slot.seq.load(kRelaxed) == published) {
+        merged.push_back(m);
+      }
     }
   }
   std::stable_sort(merged.begin(), merged.end(),
@@ -246,8 +268,8 @@ void FlightRecorder::Reset(size_t capacity) {
        ring = ring->next) {
     ring->head.store(0, std::memory_order_relaxed);
     ring->overwrites.store(0, std::memory_order_relaxed);
-    if (ring->slots.size() != cap) {
-      ring->slots.assign(cap, TraceRecord{});
+    if (ring->mask + 1 != cap) {
+      ring->slots.reset(new Slot[cap]);
       ring->mask = cap - 1;
     }
   }

@@ -1,10 +1,10 @@
 // The dispatcher flight recorder.
 //
 // A per-thread, lock-free ring buffer of fixed-size typed records. Each
-// thread writes only its own ring (one relaxed index bump plus a few plain
-// stores per record); when the ring wraps, the oldest records are
-// overwritten, so the recorder always holds the newest window — the
-// black-box-recorder discipline. Snapshot() merges all rings into a single
+// thread writes only its own ring (a per-slot sequence word around a few
+// relaxed stores, then an index bump); when the ring wraps, the oldest
+// records are overwritten, so the recorder always holds the newest window —
+// the black-box-recorder discipline. Snapshot() merges all rings into a single
 // monotonic-clock-ordered timeline, and WriteChromeTrace() serializes that
 // timeline as Chrome trace-event JSON, loadable in Perfetto (ui.perfetto.dev)
 // or chrome://tracing.
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -137,7 +138,8 @@ class FlightRecorder {
 
   // Merges every thread's ring into one timeline ordered by timestamp
   // (ties broken by thread id). Callers should quiesce emitters first for
-  // an exact snapshot; concurrent emission can smear the newest records.
+  // an exact snapshot; under concurrent emission a slot being rewritten is
+  // dropped, never copied torn.
   std::vector<MergedRecord> Snapshot() const;
 
   // Drops all records; a nonzero capacity also resizes every ring (rounded
@@ -168,6 +170,22 @@ class FlightRecorder {
   std::vector<RingStats> PerRingStats() const;
 
  private:
+  // A TraceRecord as relaxed atomics behind a sequence word. The writer of
+  // record index h sets `seq` to 2h+1, stores the fields, then publishes
+  // 2h+2 with a release store; Snapshot keeps its copy only if `seq` read
+  // 2h+2 both before and after it, so a torn or lapped slot is dropped.
+  struct Slot {
+    std::atomic<uint64_t> seq{0};
+    std::atomic<uint64_t> ts_ns{0};
+    std::atomic<const char*> name{nullptr};
+    std::atomic<uint64_t> arg{0};
+    std::atomic<uint64_t> span{0};
+    std::atomic<uint64_t> parent{0};
+    std::atomic<uint64_t> end_ns{0};
+    std::atomic<uint32_t> host{0};
+    std::atomic<TraceKind> kind{TraceKind::kRaiseBegin};
+  };
+
   struct Ring {
     uint32_t tid = 0;
     size_t mask = 0;
@@ -175,13 +193,15 @@ class FlightRecorder {
     // Single-writer count of slots overwritten before ever being
     // snapshotted (every emit past the first `capacity` ones).
     std::atomic<uint64_t> overwrites{0};
-    std::vector<TraceRecord> slots;
+    std::unique_ptr<Slot[]> slots;
     Ring* next = nullptr;
   };
 
   FlightRecorder() = default;
 
   Ring* ThreadRing();
+  // Writes `rec` into the calling thread's ring.
+  void Append(const TraceRecord& rec);
 
   std::atomic<Ring*> rings_{nullptr};
   std::atomic<uint32_t> next_tid_{1};
