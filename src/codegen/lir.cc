@@ -1,7 +1,6 @@
 #include "src/codegen/lir.h"
 
-#include <cstdio>
-#include <unordered_map>
+#include <algorithm>
 
 #include "src/rt/panic.h"
 
@@ -20,166 +19,21 @@ Cond Negate(Cond cc) {
   return static_cast<Cond>(static_cast<uint8_t>(cc) ^ 1);
 }
 
-const char* CondName(Cond cc) {
-  switch (cc) {
-    case Cond::kO:
-      return "o";
-    case Cond::kNo:
-      return "no";
-    case Cond::kB:
-      return "b";
-    case Cond::kAe:
-      return "ae";
-    case Cond::kE:
-      return "e";
-    case Cond::kNe:
-      return "ne";
-    case Cond::kBe:
-      return "be";
-    case Cond::kA:
-      return "a";
-    case Cond::kS:
-      return "s";
-    case Cond::kNs:
-      return "ns";
-    case Cond::kL:
-      return "l";
-    case Cond::kGe:
-      return "ge";
-    case Cond::kLe:
-      return "le";
-    case Cond::kG:
-      return "g";
-  }
-  return "<bad>";
-}
-
-std::string LInsnToString(const LInsn& insn) {
-  char buf[160];
-  switch (insn.op) {
-    case LOp::kMovRegImm:
-      std::snprintf(buf, sizeof(buf), "mov %s, 0x%llx", RegName(insn.dst),
-                    static_cast<unsigned long long>(insn.imm));
-      break;
-    case LOp::kMovRegReg:
-      std::snprintf(buf, sizeof(buf), "mov %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kLoadRegMem:
-      std::snprintf(buf, sizeof(buf), "load%u %s, [%s%+d]", insn.width,
-                    RegName(insn.dst), RegName(insn.base), insn.disp);
-      break;
-    case LOp::kStoreMemReg:
-      std::snprintf(buf, sizeof(buf), "store%u [%s%+d], %s", insn.width,
-                    RegName(insn.base), insn.disp, RegName(insn.src));
-      break;
-    case LOp::kStoreMemImm32:
-      std::snprintf(buf, sizeof(buf), "store4 [%s%+d], 0x%llx",
-                    RegName(insn.base), insn.disp,
-                    static_cast<unsigned long long>(insn.imm));
-      break;
-    case LOp::kLea:
-      std::snprintf(buf, sizeof(buf), "lea %s, [%s%+d]", RegName(insn.dst),
-                    RegName(insn.base), insn.disp);
-      break;
-    case LOp::kAdd:
-      std::snprintf(buf, sizeof(buf), "add %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kSub:
-      std::snprintf(buf, sizeof(buf), "sub %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kAnd:
-      std::snprintf(buf, sizeof(buf), "and %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kOr:
-      std::snprintf(buf, sizeof(buf), "or %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kXor:
-      std::snprintf(buf, sizeof(buf), "xor %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kAluMemReg:
-      std::snprintf(buf, sizeof(buf), "%s [%s%+d], %s",
-                    insn.alu == AluSub::kAdd  ? "add"
-                    : insn.alu == AluSub::kOr ? "or"
-                                              : "and",
-                    RegName(insn.base), insn.disp, RegName(insn.src));
-      break;
-    case LOp::kIncMem32:
-      std::snprintf(buf, sizeof(buf), "inc dword [%s%+d]", RegName(insn.base),
-                    insn.disp);
-      break;
-    case LOp::kShlImm:
-      std::snprintf(buf, sizeof(buf), "shl %s, %llu", RegName(insn.dst),
-                    static_cast<unsigned long long>(insn.imm));
-      break;
-    case LOp::kShrImm:
-      std::snprintf(buf, sizeof(buf), "shr %s, %llu", RegName(insn.dst),
-                    static_cast<unsigned long long>(insn.imm));
-      break;
-    case LOp::kCmpRegReg:
-      std::snprintf(buf, sizeof(buf), "cmp %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kCmpRegImm32:
-      std::snprintf(buf, sizeof(buf), "cmp %s, 0x%llx", RegName(insn.dst),
-                    static_cast<unsigned long long>(insn.imm));
-      break;
-    case LOp::kTestRegReg:
-      std::snprintf(buf, sizeof(buf), "test %s, %s", RegName(insn.dst),
-                    RegName(insn.src));
-      break;
-    case LOp::kSetcc:
-      std::snprintf(buf, sizeof(buf), "set%s %s.b", CondName(insn.cc),
-                    RegName(insn.dst));
-      break;
-    case LOp::kMovzx8:
-      std::snprintf(buf, sizeof(buf), "movzx %s, %s.b", RegName(insn.dst),
-                    RegName(insn.dst));
-      break;
-    case LOp::kCall:
-      std::snprintf(buf, sizeof(buf), "call %s", RegName(insn.dst));
-      break;
-    case LOp::kPush:
-      std::snprintf(buf, sizeof(buf), "push %s", RegName(insn.dst));
-      break;
-    case LOp::kPop:
-      std::snprintf(buf, sizeof(buf), "pop %s", RegName(insn.dst));
-      break;
-    case LOp::kJcc:
-      std::snprintf(buf, sizeof(buf), "j%s L%d", CondName(insn.cc),
-                    insn.label);
-      break;
-    case LOp::kJmp:
-      std::snprintf(buf, sizeof(buf), "jmp L%d", insn.label);
-      break;
-    case LOp::kBind:
-      std::snprintf(buf, sizeof(buf), "L%d:", insn.label);
-      break;
-    case LOp::kRet:
-      std::snprintf(buf, sizeof(buf), "ret");
-      break;
-  }
-  return buf;
-}
-
 namespace {
 
+// Longest encoding of one LIR instruction, rounded up: a 32-bit store of an
+// imm32 to [r12+disp32] takes 12 bytes.
+constexpr size_t kMaxInsnBytes = 16;
+
+// Writes into a buffer the caller sized for the whole program, so emitting a
+// byte is a store and a pointer bump.
 class Assembler {
  public:
-  std::vector<uint8_t> bytes;
-  std::unordered_map<int, size_t> label_offsets;
-  struct Fixup {
-    size_t at;   // offset of the rel32 field
-    int label;
-  };
-  std::vector<Fixup> fixups;
+  explicit Assembler(uint8_t* out) : out_(out), at_(out) {}
 
-  void Byte(uint8_t b) { bytes.push_back(b); }
+  size_t size() const { return static_cast<size_t>(at_ - out_); }
+
+  void Byte(uint8_t b) { *at_++ = b; }
   void U32(uint32_t v) {
     for (int i = 0; i < 4; ++i) {
       Byte(static_cast<uint8_t>(v >> (8 * i)));
@@ -236,12 +90,37 @@ class Assembler {
       U32(static_cast<uint32_t>(disp));
     }
   }
+
+ private:
+  uint8_t* out_;
+  uint8_t* at_;
+};
+
+struct Fixup {
+  size_t at;  // offset of the rel32 field
+  int label;
 };
 
 }  // namespace
 
 std::vector<uint8_t> Encode(const std::vector<LInsn>& code) {
-  Assembler a;
+  // Labels come dense from the stub compiler's NewLabel, so their offsets
+  // live in a vector indexed by label (-1: unbound).
+  int max_label = -1;
+  size_t branches = 0;
+  for (const LInsn& insn : code) {
+    if (insn.op == LOp::kBind) {
+      SPIN_ASSERT(insn.label >= 0);
+      max_label = std::max(max_label, insn.label);
+    } else if (insn.op == LOp::kJcc || insn.op == LOp::kJmp) {
+      ++branches;
+    }
+  }
+  std::vector<int64_t> label_offsets(static_cast<size_t>(max_label + 1), -1);
+  std::vector<Fixup> fixups;
+  fixups.reserve(branches);
+  std::vector<uint8_t> bytes(code.size() * kMaxInsnBytes);
+  Assembler a(bytes.data());
   for (const LInsn& insn : code) {
     int dst = static_cast<int>(insn.dst);
     int src = static_cast<int>(insn.src);
@@ -424,35 +303,37 @@ std::vector<uint8_t> Encode(const std::vector<LInsn>& code) {
       case LOp::kJcc:
         a.Byte(0x0F);
         a.Byte(static_cast<uint8_t>(0x80 + static_cast<uint8_t>(insn.cc)));
-        a.fixups.push_back({a.bytes.size(), insn.label});
+        fixups.push_back({a.size(), insn.label});
         a.U32(0);
         break;
       case LOp::kJmp:
         a.Byte(0xE9);
-        a.fixups.push_back({a.bytes.size(), insn.label});
+        fixups.push_back({a.size(), insn.label});
         a.U32(0);
         break;
       case LOp::kBind:
-        a.label_offsets[insn.label] = a.bytes.size();
+        label_offsets[static_cast<size_t>(insn.label)] =
+            static_cast<int64_t>(a.size());
         break;
       case LOp::kRet:
         a.Byte(0xC3);
         break;
     }
   }
-  for (const Assembler::Fixup& fixup : a.fixups) {
-    auto it = a.label_offsets.find(fixup.label);
-    SPIN_ASSERT_MSG(it != a.label_offsets.end(), "unbound label L%d",
-                    fixup.label);
-    int64_t rel = static_cast<int64_t>(it->second) -
-                  static_cast<int64_t>(fixup.at + 4);
+  for (const Fixup& fixup : fixups) {
+    int64_t target = fixup.label >= 0 && fixup.label <= max_label
+                         ? label_offsets[static_cast<size_t>(fixup.label)]
+                         : -1;
+    SPIN_ASSERT_MSG(target >= 0, "unbound label L%d", fixup.label);
+    int64_t rel = target - static_cast<int64_t>(fixup.at + 4);
     SPIN_ASSERT(rel >= INT32_MIN && rel <= INT32_MAX);
     uint32_t rel32 = static_cast<uint32_t>(rel);
     for (int i = 0; i < 4; ++i) {
-      a.bytes[fixup.at + i] = static_cast<uint8_t>(rel32 >> (8 * i));
+      bytes[fixup.at + i] = static_cast<uint8_t>(rel32 >> (8 * i));
     }
   }
-  return a.bytes;
+  bytes.resize(a.size());
+  return bytes;
 }
 
 }  // namespace codegen

@@ -33,31 +33,22 @@ bool WritesDst(const LInsn& insn) {
   }
 }
 
-struct LoadFact {
-  Reg base;
-  int32_t disp;
-  uint8_t width;
-
-  friend bool operator==(const LoadFact&, const LoadFact&) = default;
-};
-
 // Per-register "reg currently holds the value of [base+disp]" facts.
 // Generated stubs only branch forward, so a single in-order pass sees every
 // jump to a label before the label binds; facts at a label are the
-// intersection (meet) of the facts on each incoming edge.
+// intersection (meet) of the facts on each incoming edge. A fact is packed
+// into one word, disp:32 | base:8 | width:8, and bit r of `live_` says
+// whether register r has one, so kills and meets visit live facts only.
 class FactTable {
  public:
-  void KillAll() {
-    for (auto& f : facts_) {
-      f.reset();
-    }
-  }
+  void KillAll() { live_ = 0; }
 
   void KillReg(Reg reg) {
-    facts_[Idx(reg)].reset();
-    for (auto& f : facts_) {
-      if (f && f->base == reg) {
-        f.reset();
+    Drop(Idx(reg));
+    for (uint32_t m = live_; m != 0; m &= m - 1) {
+      size_t r = static_cast<size_t>(__builtin_ctz(m));
+      if (BaseOf(facts_[r]) == Idx(reg)) {
+        Drop(r);
       }
     }
   }
@@ -67,46 +58,64 @@ class FactTable {
   // stub's bookkeeping stores at fired/result offsets must not invalidate
   // argument-slot facts); everything else dies.
   void KillStore(Reg base, int32_t disp, uint8_t width) {
-    for (auto& f : facts_) {
-      if (!f) {
-        continue;
-      }
-      bool disjoint = f->base == base &&
-                      (f->disp + f->width <= disp ||
-                       disp + width <= f->disp);
+    for (uint32_t m = live_; m != 0; m &= m - 1) {
+      size_t r = static_cast<size_t>(__builtin_ctz(m));
+      uint64_t f = facts_[r];
+      int64_t f_disp = DispOf(f);
+      bool disjoint = BaseOf(f) == Idx(base) &&
+                      (f_disp + WidthOf(f) <= disp ||
+                       int64_t{disp} + width <= f_disp);
       if (!disjoint) {
-        f.reset();
+        Drop(r);
       }
     }
   }
 
   bool Holds(Reg reg, Reg base, int32_t disp, uint8_t width) const {
-    const auto& f = facts_[Idx(reg)];
-    return f && *f == LoadFact{base, disp, width};
+    size_t r = Idx(reg);
+    return ((live_ >> r) & 1) != 0 && facts_[r] == Pack(base, disp, width);
   }
 
   void Record(Reg reg, Reg base, int32_t disp, uint8_t width) {
+    size_t r = Idx(reg);
     if (reg == base) {
-      facts_[Idx(reg)].reset();
+      Drop(r);
       return;
     }
-    facts_[Idx(reg)] = LoadFact{base, disp, width};
+    facts_[r] = Pack(base, disp, width);
+    live_ = static_cast<uint16_t>(live_ | 1u << r);
   }
 
   void IntersectWith(const FactTable& other) {
-    for (size_t i = 0; i < 16; ++i) {
-      if (facts_[i] && (!other.facts_[i] || !(*facts_[i] == *other.facts_[i]))) {
-        facts_[i].reset();
+    live_ &= other.live_;
+    for (uint32_t m = live_; m != 0; m &= m - 1) {
+      size_t r = static_cast<size_t>(__builtin_ctz(m));
+      if (facts_[r] != other.facts_[r]) {
+        Drop(r);
       }
     }
   }
 
  private:
   static size_t Idx(Reg reg) { return static_cast<size_t>(reg); }
-  std::optional<LoadFact> facts_[16];
+  void Drop(size_t r) { live_ = static_cast<uint16_t>(live_ & ~(1u << r)); }
+  static uint64_t Pack(Reg base, int32_t disp, uint8_t width) {
+    return uint64_t{static_cast<uint32_t>(disp)} << 32 | Idx(base) << 8 |
+           width;
+  }
+  static size_t BaseOf(uint64_t f) { return (f >> 8) & 0xff; }
+  static int32_t DispOf(uint64_t f) {
+    return static_cast<int32_t>(static_cast<uint32_t>(f >> 32));
+  }
+  static uint8_t WidthOf(uint64_t f) { return static_cast<uint8_t>(f); }
+
+  uint16_t live_ = 0;
+  uint64_t facts_[16] = {};
 };
 
-size_t OnePass(std::vector<LInsn>& code) {
+}  // namespace
+
+size_t Peephole(std::vector<LInsn>& code) {
   size_t rewrites = 0;
   // Meet of facts over branches into each (forward) label, recorded as the
   // branches are seen. This is only sound when every branch is forward (as
@@ -143,27 +152,41 @@ size_t OnePass(std::vector<LInsn>& code) {
       in = facts;
     }
   };
+  // (2) The last kept jmp, held back from the meet until the next kept
+  // instruction shows whether it survives: if that instruction binds the
+  // jmp's label, control falls through instead and the jmp (with any dead
+  // copies of it right behind) is dropped. Deciding at the label rather
+  // than by looking one instruction ahead also drops a jmp that this pass
+  // separated from its label by deleting what lay between, so one pass
+  // reaches the fixpoint.
+  struct {
+    int label = -1;    // -1: none held
+    size_t count = 0;  // consecutive kept jmps to `label`
+    FactTable facts;   // on the first one's edge
+    bool reachable = false;
+  } jmp;
   FactTable facts;
   // Rewrites only delete instructions, so the pass compacts `code` in
   // place: the write cursor never passes the instruction being read.
   size_t kept = 0;
   bool reachable = true;  // false between an unconditional jmp and a label
 
+  // Keeps code[i] (as rewritten in place) at the write cursor.
+  auto keep = [&](size_t i) {
+    if (kept != i) {
+      code[kept] = code[i];
+    }
+    ++kept;
+  };
+
   for (size_t i = 0; i < code.size(); ++i) {
-    LInsn insn = code[i];
+    LInsn& insn = code[i];
 
     // (1) cmp r, 0 -> test r, r
     if (insn.op == LOp::kCmpRegImm32 && insn.imm == 0) {
       insn.op = LOp::kTestRegReg;
       insn.src = insn.dst;
       ++rewrites;
-    }
-
-    // (2) jmp to the label bound by the next instruction
-    if (insn.op == LOp::kJmp && i + 1 < code.size() &&
-        code[i + 1].op == LOp::kBind && code[i + 1].label == insn.label) {
-      ++rewrites;
-      continue;  // control falls through; facts carry unchanged
     }
 
     // (3) mov r, r
@@ -177,6 +200,27 @@ size_t OnePass(std::vector<LInsn>& code) {
         facts.Holds(insn.dst, insn.base, insn.disp, insn.width)) {
       ++rewrites;
       continue;
+    }
+
+    // (2) Settle the held jmp.
+    if (jmp.label >= 0 && insn.op == LOp::kJmp && insn.label == jmp.label) {
+      ++jmp.count;  // unreachable behind the first; stands or falls with it
+      keep(i);
+      continue;
+    }
+    if (jmp.label >= 0) {
+      if (insn.op == LOp::kBind && insn.label == jmp.label) {
+        kept -= jmp.count;
+        rewrites += jmp.count;
+        facts = jmp.facts;
+        reachable = jmp.reachable;
+      } else {
+        record_branch(jmp.label, jmp.facts);
+        if (jmp.count > 1) {
+          record_branch(jmp.label, FactTable{});  // the dead copies' edges
+        }
+      }
+      jmp.label = -1;
     }
 
     // Update dataflow state.
@@ -206,7 +250,10 @@ size_t OnePass(std::vector<LInsn>& code) {
         record_branch(insn.label, facts);
         break;  // fall-through keeps current facts
       case LOp::kJmp:
-        record_branch(insn.label, facts);
+        jmp.label = insn.label;
+        jmp.count = 1;
+        jmp.facts = facts;
+        jmp.reachable = reachable;
         reachable = false;
         facts.KillAll();
         break;
@@ -237,27 +284,11 @@ size_t OnePass(std::vector<LInsn>& code) {
         break;
     }
 
-    code[kept++] = insn;
+    keep(i);
   }
 
   code.resize(kept);
   return rewrites;
-}
-
-}  // namespace
-
-size_t Peephole(std::vector<LInsn>& code) {
-  size_t total = 0;
-  // Each pass only shrinks the program; a handful of iterations reaches a
-  // fixpoint on realistic stubs.
-  for (int iter = 0; iter < 4; ++iter) {
-    size_t n = OnePass(code);
-    total += n;
-    if (n == 0) {
-      break;
-    }
-  }
-  return total;
 }
 
 }  // namespace codegen

@@ -3,7 +3,7 @@
 //
 // Rewrites performed:
 //   1. cmp r, 0          -> test r, r         (shorter encoding)
-//   2. jmp L; ... L:     -> (dropped)         when L immediately follows
+//   2. jmp L; ... L:     -> (dropped)         when nothing kept lies between
 //   3. mov r, r          -> (dropped)
 //   4. redundant reloads -> (dropped)         a load of [base+disp] into a
 //      register that provably already holds that value. Facts are killed on
@@ -20,7 +20,8 @@
 namespace spin {
 namespace codegen {
 
-// Optimizes `code` in place; returns the number of rewrites applied.
+// Optimizes `code` in place in one pass; returns the number of rewrites
+// applied. The result is a fixpoint: a second call rewrites nothing.
 size_t Peephole(std::vector<LInsn>& code);
 
 }  // namespace codegen

@@ -1,6 +1,8 @@
 #include "src/codegen/stub_compiler.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "src/codegen/lir.h"
 #include "src/codegen/peephole.h"
@@ -24,7 +26,7 @@ constexpr Reg kAddrTemp = Reg::kR11;
 constexpr Reg kFrameReg = Reg::kRbx;
 
 struct Emitter {
-  std::vector<LInsn> code;
+  std::vector<LInsn>& code;
   int next_label = 0;
 
   int NewLabel() { return next_label++; }
@@ -136,7 +138,15 @@ void LowerMicroBody(Emitter& e, const micro::Program& prog,
   const std::vector<micro::Insn>& code = prog.code();
   SPIN_ASSERT(count <= code.size());
   // Labels for jump targets, indexed by target pc (-1: not a target).
-  std::vector<int> pc_labels(count + 1, -1);
+  // Typical programs fit the stack array; long ones spill to the heap.
+  int stack_labels[64];
+  std::vector<int> heap_labels;
+  int* pc_labels = stack_labels;
+  if (count + 1 > std::size(stack_labels)) {
+    heap_labels.resize(count + 1);
+    pc_labels = heap_labels.data();
+  }
+  std::fill_n(pc_labels, count + 1, -1);
   for (size_t i = 0; i < count; ++i) {
     const micro::Insn& insn = code[i];
     if (insn.op == micro::Op::kJz || insn.op == micro::Op::kJmp) {
@@ -334,18 +344,33 @@ void EmitCallArgs(Emitter& e, const CallableSpec& callable, int num_args,
   e.Emit({.op = LOp::kCall, .dst = Reg::kRax});
 }
 
-bool UseInline(const StubSpec& spec, const CallableSpec& callable) {
-  return spec.inline_micro && callable.prog != nullptr &&
-         callable.prog->Validate() == micro::ValidateStatus::kOk;
+// Decides whether `callable` is inlined — the one validation of its program
+// per compile — and sets `*problem` if it cannot take part in the stub.
+bool PlanCallable(const StubSpec& spec, const CallableSpec& callable,
+                  const char** problem) {
+  bool inlined = spec.inline_micro && callable.prog != nullptr &&
+                 callable.prog->Validate() == micro::ValidateStatus::kOk;
+  if (callable.closure_form && spec.num_args > 5) {
+    *problem = "closure plus more than 5 arguments";
+  } else if (!inlined && callable.fn == nullptr) {
+    *problem = "callable has no native entry and cannot be inlined";
+  }
+  return inlined;
 }
 
 // Emits one binding's guards (branching to `fail_label` when any guard
 // rejects), its handler call/inline body, the result fold, and the fired
-// increment. Control falls through on success.
-void EmitBindingBody(Emitter& e, const StubSpec& spec,
-                     const BindingSpec& binding, int fail_label) {
+// increment. Control falls through on success. Returns why a callable
+// cannot be compiled, or nullptr.
+const char* EmitBindingBody(Emitter& e, const StubSpec& spec,
+                            const BindingSpec& binding, int fail_label) {
+  const char* problem = nullptr;
   for (const CallableSpec& guard : binding.guards) {
-    if (UseInline(spec, guard)) {
+    bool inlined = PlanCallable(spec, guard, &problem);
+    if (problem != nullptr) {
+      return problem;
+    }
+    if (inlined) {
       MicroEnv env;
       env.closure_form = guard.closure_form;
       env.closure = reinterpret_cast<uintptr_t>(guard.closure);
@@ -358,7 +383,11 @@ void EmitBindingBody(Emitter& e, const StubSpec& spec,
       e.Jcc(Cond::kE, fail_label);
     }
   }
-  if (UseInline(spec, binding.handler)) {
+  bool inlined = PlanCallable(spec, binding.handler, &problem);
+  if (problem != nullptr) {
+    return problem;
+  }
+  if (inlined) {
     MicroEnv env;
     env.closure_form = binding.handler.closure_form;
     env.closure = reinterpret_cast<uintptr_t>(binding.handler.closure);
@@ -391,6 +420,7 @@ void EmitBindingBody(Emitter& e, const StubSpec& spec,
   }
   e.Emit({.op = LOp::kIncMem32, .base = kFrameReg,
           .disp = static_cast<int32_t>(kFrameFiredOffset)});
+  return nullptr;
 }
 
 // Compares the field register against a 64-bit constant (r11 as temp when
@@ -405,16 +435,16 @@ void EmitCompareConst(Emitter& e, Reg reg, uint64_t value) {
 }
 
 // Emits the binary search of the guard decision tree over cases [lo, hi).
-// `field` holds the masked field value; `case_labels[i]` is the entry for
-// cases[i]'s binding; misses jump to `done`.
+// `field` holds the masked field value; label `first_case + i` is the entry
+// for cases[i]'s binding; misses jump to `done`.
 void EmitTreeSearch(Emitter& e, const std::vector<TreeCase>& cases,
-                    const std::vector<int>& case_labels, Reg field,
-                    size_t lo, size_t hi, int done) {
+                    int first_case, Reg field, size_t lo, size_t hi,
+                    int done) {
   size_t count = hi - lo;
   if (count <= 3) {
     for (size_t i = lo; i < hi; ++i) {
       EmitCompareConst(e, field, cases[i].value);
-      e.Jcc(Cond::kE, case_labels[i]);
+      e.Jcc(Cond::kE, first_case + static_cast<int>(i));
     }
     e.Jmp(done);
     return;
@@ -423,27 +453,128 @@ void EmitTreeSearch(Emitter& e, const std::vector<TreeCase>& cases,
   int lower = e.NewLabel();
   EmitCompareConst(e, field, cases[mid].value);
   e.Jcc(Cond::kB, lower);
-  EmitTreeSearch(e, cases, case_labels, field, mid, hi, done);
+  EmitTreeSearch(e, cases, first_case, field, mid, hi, done);
   e.Bind(lower);
-  EmitTreeSearch(e, cases, case_labels, field, lo, mid, done);
+  EmitTreeSearch(e, cases, first_case, field, lo, mid, done);
+}
+
+// Why `spec`'s shape (argument count, by-ref indices, decision tree)
+// cannot be compiled, or nullptr. Callables are checked as they lower.
+const char* SpecProblem(const StubSpec& spec) {
+  if (spec.num_args > 6) {
+    return "more than 6 register arguments";
+  }
+  for (const BindingSpec& binding : spec.bindings) {
+    for (uint8_t p : binding.byref_params) {
+      if (p >= spec.num_args) {
+        return "by-ref parameter index out of range";
+      }
+    }
+  }
+  if (spec.tree.has_value()) {
+    const StubTree& tree = *spec.tree;
+    if (tree.arg >= spec.num_args) {
+      return "tree argument index out of range";
+    }
+    if (tree.cases.size() != spec.bindings.size()) {
+      return "tree must cover every binding exactly once";
+    }
+    std::vector<bool> covered(spec.bindings.size(), false);
+    for (size_t i = 0; i < tree.cases.size(); ++i) {
+      const TreeCase& c = tree.cases[i];
+      if (c.binding_index >= spec.bindings.size() ||
+          covered[c.binding_index]) {
+        return "tree case indices must be a permutation of bindings";
+      }
+      covered[c.binding_index] = true;
+      if (i > 0 && tree.cases[i - 1].value >= c.value) {
+        return "tree case values must be sorted and distinct";
+      }
+    }
+  }
+  return nullptr;
+}
+
+// A guess at the LIR length of `spec`'s stub, to size the emitter once.
+size_t EstimateInsns(const StubSpec& spec) {
+  auto callable = [&](const CallableSpec& c) {
+    return c.prog != nullptr ? 2 * c.prog->code().size() + 3
+                             : static_cast<size_t>(spec.num_args) + 5;
+  };
+  size_t n = 8;
+  for (const BindingSpec& binding : spec.bindings) {
+    n += callable(binding.handler) + 4;
+    for (const CallableSpec& guard : binding.guards) {
+      n += callable(guard);
+    }
+  }
+  if (spec.tree.has_value()) {
+    n += 3 * spec.tree->cases.size();
+  }
+  return n;
+}
+
+// Emits `spec`'s whole stub, prologue to ret. Returns why the spec cannot
+// be compiled (then `e` holds a partial stub), or nullptr.
+const char* EmitStub(const StubSpec& spec, Emitter& e) {
+  if (const char* problem = SpecProblem(spec)) {
+    return problem;
+  }
+  // Prologue: keep the frame pointer in rbx (callee-saved). After the push,
+  // rsp is 16-byte aligned at every emitted call.
+  e.Emit({.op = LOp::kPush, .dst = kFrameReg});
+  e.MovRegReg(kFrameReg, Reg::kRdi);
+
+  if (spec.tree.has_value()) {
+    const StubTree& tree = *spec.tree;
+    int done = e.NewLabel();
+    // Load the discriminating field once.
+    e.Load(Reg::kRax, kFrameReg,
+           static_cast<int32_t>(kFrameArgsOffset + 8 * tree.arg));
+    e.Load(Reg::kRcx, Reg::kRax, static_cast<int32_t>(tree.offset),
+           tree.width);
+    uint64_t width_mask =
+        tree.width == 8 ? ~0ull : ((1ull << (8 * tree.width)) - 1);
+    if ((tree.mask & width_mask) != width_mask) {
+      e.MovRegImm(Reg::kRdx, tree.mask);
+      e.Alu(LOp::kAnd, Reg::kRcx, Reg::kRdx);
+    }
+    // Case labels are the next cases.size() labels, in case order.
+    int first_case = e.next_label;
+    e.next_label += static_cast<int>(tree.cases.size());
+    EmitTreeSearch(e, tree.cases, first_case, Reg::kRcx, 0,
+                   tree.cases.size(), done);
+    for (size_t i = 0; i < tree.cases.size(); ++i) {
+      e.Bind(first_case + static_cast<int>(i));
+      const BindingSpec& binding = spec.bindings[tree.cases[i].binding_index];
+      if (const char* problem = EmitBindingBody(e, spec, binding, done)) {
+        return problem;
+      }
+      e.Jmp(done);
+    }
+    e.Bind(done);
+  } else {
+    for (const BindingSpec& binding : spec.bindings) {
+      int skip = e.NewLabel();
+      if (const char* problem = EmitBindingBody(e, spec, binding, skip)) {
+        return problem;
+      }
+      e.Bind(skip);
+    }
+  }
+
+  e.Emit({.op = LOp::kPop, .dst = kFrameReg});
+  e.Emit({.op = LOp::kRet});
+  return nullptr;
 }
 
 }  // namespace
 
 CompiledStub::CompiledStub(std::unique_ptr<CodeBuffer> buffer,
-                           std::vector<LInsn> lir, size_t peephole_rewrites)
+                           size_t lir_insns, size_t peephole_rewrites)
     : buffer_(std::move(buffer)),
-      lir_(std::move(lir)),
+      lir_insns_(lir_insns),
       peephole_rewrites_(peephole_rewrites) {}
-
-std::string CompiledStub::lir_text() const {
-  std::string text;
-  for (const LInsn& insn : lir_) {
-    text += LInsnToString(insn);
-    text += '\n';
-  }
-  return text;
-}
 
 std::unique_ptr<CompiledStub> CompiledStub::Clone() const {
   // The emitted code is position-independent: callee addresses are imm64
@@ -457,7 +588,7 @@ std::unique_ptr<CompiledStub> CompiledStub::Clone() const {
   if (buffer == nullptr) {
     return nullptr;
   }
-  return std::make_unique<CompiledStub>(std::move(buffer), lir_,
+  return std::make_unique<CompiledStub>(std::move(buffer), lir_insns_,
                                         peephole_rewrites_);
 }
 
@@ -470,117 +601,30 @@ bool CodegenAvailable() {
 #endif
 }
 
-bool StubEligible(const StubSpec& spec, std::string* why) {
-  auto fail = [&](const char* reason) {
-    if (why != nullptr) {
-      *why = reason;
-    }
-    return false;
-  };
-  if (spec.num_args > 6) {
-    return fail("more than 6 register arguments");
+bool LowerStub(const StubSpec& spec, std::vector<LInsn>* code,
+               std::string* why) {
+  code->clear();
+  code->reserve(EstimateInsns(spec));
+  Emitter e{*code};
+  const char* problem = EmitStub(spec, e);
+  if (problem != nullptr && why != nullptr) {
+    *why = problem;
   }
-  for (const BindingSpec& binding : spec.bindings) {
-    std::vector<const CallableSpec*> callables;
-    callables.push_back(&binding.handler);
-    for (const CallableSpec& g : binding.guards) {
-      callables.push_back(&g);
-    }
-    for (const CallableSpec* c : callables) {
-      if (c->closure_form && spec.num_args > 5) {
-        return fail("closure plus more than 5 arguments");
-      }
-      if (!UseInline(spec, *c) && c->fn == nullptr) {
-        return fail("callable has no native entry and cannot be inlined");
-      }
-    }
-    for (uint8_t p : binding.byref_params) {
-      if (p >= spec.num_args) {
-        return fail("by-ref parameter index out of range");
-      }
-    }
-  }
-  if (spec.tree.has_value()) {
-    const StubTree& tree = *spec.tree;
-    if (tree.arg >= spec.num_args) {
-      return fail("tree argument index out of range");
-    }
-    if (tree.cases.size() != spec.bindings.size()) {
-      return fail("tree must cover every binding exactly once");
-    }
-    std::vector<bool> covered(spec.bindings.size(), false);
-    for (size_t i = 0; i < tree.cases.size(); ++i) {
-      const TreeCase& c = tree.cases[i];
-      if (c.binding_index >= spec.bindings.size() ||
-          covered[c.binding_index]) {
-        return fail("tree case indices must be a permutation of bindings");
-      }
-      covered[c.binding_index] = true;
-      if (i > 0 && tree.cases[i - 1].value >= c.value) {
-        return fail("tree case values must be sorted and distinct");
-      }
-    }
-  }
-  return true;
+  return problem == nullptr;
 }
 
 std::unique_ptr<CompiledStub> CompileStub(const StubSpec& spec) {
-  if (!CodegenAvailable() || !StubEligible(spec)) {
+  std::vector<LInsn> code;
+  if (!CodegenAvailable() || !LowerStub(spec, &code)) {
     return nullptr;
   }
-  Emitter e;
-  // Prologue: keep the frame pointer in rbx (callee-saved). After the push,
-  // rsp is 16-byte aligned at every emitted call.
-  e.Emit({.op = LOp::kPush, .dst = kFrameReg});
-  e.MovRegReg(kFrameReg, Reg::kRdi);
-
-  if (spec.tree.has_value()) {
-    const StubTree& tree = *spec.tree;
-    SPIN_ASSERT(tree.cases.size() == spec.bindings.size());
-    int done = e.NewLabel();
-    // Load the discriminating field once.
-    e.Load(Reg::kRax, kFrameReg,
-           static_cast<int32_t>(kFrameArgsOffset + 8 * tree.arg));
-    e.Load(Reg::kRcx, Reg::kRax, static_cast<int32_t>(tree.offset),
-           tree.width);
-    uint64_t width_mask =
-        tree.width == 8 ? ~0ull : ((1ull << (8 * tree.width)) - 1);
-    if ((tree.mask & width_mask) != width_mask) {
-      e.MovRegImm(Reg::kRdx, tree.mask);
-      e.Alu(LOp::kAnd, Reg::kRcx, Reg::kRdx);
-    }
-    std::vector<int> case_labels;
-    case_labels.reserve(tree.cases.size());
-    for (size_t i = 0; i < tree.cases.size(); ++i) {
-      case_labels.push_back(e.NewLabel());
-    }
-    EmitTreeSearch(e, tree.cases, case_labels, Reg::kRcx, 0,
-                   tree.cases.size(), done);
-    for (size_t i = 0; i < tree.cases.size(); ++i) {
-      e.Bind(case_labels[i]);
-      EmitBindingBody(e, spec, spec.bindings[tree.cases[i].binding_index],
-                      done);
-      e.Jmp(done);
-    }
-    e.Bind(done);
-  } else {
-    for (const BindingSpec& binding : spec.bindings) {
-      int skip = e.NewLabel();
-      EmitBindingBody(e, spec, binding, skip);
-      e.Bind(skip);
-    }
-  }
-
-  e.Emit({.op = LOp::kPop, .dst = kFrameReg});
-  e.Emit({.op = LOp::kRet});
-
-  size_t rewrites = spec.optimize ? Peephole(e.code) : 0;
-  std::vector<uint8_t> bytes = Encode(e.code);
-  std::unique_ptr<CodeBuffer> buffer = CodeBuffer::Create(bytes);
+  size_t rewrites = spec.optimize ? Peephole(code) : 0;
+  std::unique_ptr<CodeBuffer> buffer = CodeBuffer::Create(Encode(code));
   if (buffer == nullptr) {
     return nullptr;
   }
-  return std::make_unique<CompiledStub>(std::move(buffer), std::move(e.code),
+  // Only the counts outlive the compile; the LIR is freed here.
+  return std::make_unique<CompiledStub>(std::move(buffer), code.size(),
                                         rewrites);
 }
 
@@ -591,7 +635,10 @@ std::unique_ptr<CompiledMicro> CompileMicro(const micro::Program& prog,
       prog.num_args() > 6) {
     return nullptr;
   }
-  Emitter e;
+  std::vector<LInsn> code;
+  code.reserve(2 * prog.code().size() + static_cast<size_t>(prog.num_args()) +
+               4);
+  Emitter e{code};
   // Leaf function: spill the register arguments into the red zone so
   // kLoadArg has a fixed home for each.
   for (int i = 0; i < prog.num_args(); ++i) {
@@ -602,10 +649,9 @@ std::unique_ptr<CompiledMicro> CompileMicro(const micro::Program& prog,
   LowerMicroValue(e, prog, env);
   e.Emit({.op = LOp::kRet});
   if (optimize) {
-    Peephole(e.code);
+    Peephole(code);
   }
-  std::vector<uint8_t> bytes = Encode(e.code);
-  std::unique_ptr<CodeBuffer> buffer = CodeBuffer::Create(bytes);
+  std::unique_ptr<CodeBuffer> buffer = CodeBuffer::Create(Encode(code));
   if (buffer == nullptr) {
     return nullptr;
   }

@@ -94,7 +94,7 @@ struct StubSpec {
 
 class CompiledStub {
  public:
-  CompiledStub(std::unique_ptr<CodeBuffer> buffer, std::vector<LInsn> lir,
+  CompiledStub(std::unique_ptr<CodeBuffer> buffer, size_t lir_insns,
                size_t peephole_rewrites);
 
   // Byte-copies the routine into a fresh code-arena chunk. The emitted
@@ -111,15 +111,14 @@ class CompiledStub {
         const_cast<void*>(buffer_->entry()));
   }
   size_t code_size() const { return buffer_->code_size(); }
-  // The post-peephole LIR, one instruction per line; rendered on demand
-  // (diagnostics and tests only, never on the install path).
-  std::string lir_text() const;
-  size_t lir_insns() const { return lir_.size(); }
+  // Post-peephole LIR length and rewrites applied. The stub keeps these
+  // counts only: its LIR is freed when the compile ends.
+  size_t lir_insns() const { return lir_insns_; }
   size_t peephole_rewrites() const { return peephole_rewrites_; }
 
  private:
   std::unique_ptr<CodeBuffer> buffer_;
-  std::vector<LInsn> lir_;
+  size_t lir_insns_;
   size_t peephole_rewrites_;
 };
 
@@ -139,11 +138,14 @@ class CompiledMicro {
 // not disabled via the SPIN_DISABLE_JIT environment variable).
 bool CodegenAvailable();
 
-// Checks whether `spec` can be compiled: ≤6 register args (≤5 when any
-// callable uses a closure), every callable resolvable (native fn, or a
-// valid micro-program when inlining), and a built-in result policy.
-// On failure returns false and explains in `why` if non-null.
-bool StubEligible(const StubSpec& spec, std::string* why = nullptr);
+// The first step of CompileStub: lowers `spec` into `code` as LIR, before
+// the peephole pass, validating each callable's program once. `spec` is
+// eligible with ≤6 register args (≤5 when any callable uses a closure),
+// every callable resolvable (native fn, or a valid micro-program when
+// inlining), and a built-in result policy; otherwise returns false and
+// explains in `why` if non-null.
+bool LowerStub(const StubSpec& spec, std::vector<LInsn>* code,
+               std::string* why = nullptr);
 
 // Compiles a dispatch stub; returns nullptr if ineligible or codegen is
 // unavailable.

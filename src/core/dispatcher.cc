@@ -39,29 +39,34 @@ bool SigJitable(const ProcSig& sig) {
 }
 
 // Whether one callable (handler or guard) can participate in a generated
-// stub, possibly by compiling its micro-program out of line. May set
-// `compiled` (caller holds the dispatcher mutex).
+// stub. kNeedsBody: only through an out-of-line body compiled from its
+// micro-program, which it does not have yet. A program to be inlined is
+// validated by the stub compiler, once per compile.
+enum class JitReady { kNo, kYes, kNeedsBody };
+
 template <typename Clause>
-bool CallableJitable(Clause& clause, bool inline_micro, size_t num_args) {
-  bool has_native = clause.fn != nullptr;
-  bool has_prog = clause.prog.has_value() &&
-                  clause.prog->Validate() == micro::ValidateStatus::kOk;
+JitReady CallableJitReady(const Clause& clause, bool inline_micro,
+                          size_t num_args) {
   if (clause.closure_form && num_args > 5) {
-    return false;
+    return JitReady::kNo;
   }
-  if (inline_micro && has_prog) {
-    return true;
+  if ((inline_micro && clause.prog.has_value()) || clause.fn != nullptr ||
+      clause.compiled != nullptr) {
+    return JitReady::kYes;
   }
-  if (has_native) {
-    return true;
+  if (clause.prog.has_value() &&
+      clause.prog->Validate() == micro::ValidateStatus::kOk) {
+    return JitReady::kNeedsBody;
   }
-  if (has_prog) {
-    if (clause.compiled == nullptr) {
-      clause.compiled = codegen::CompileMicro(*clause.prog);
-    }
-    return clause.compiled != nullptr;
-  }
-  return false;
+  return JitReady::kNo;
+}
+
+// Gives a kNeedsBody callable its out-of-line body (caller holds the
+// dispatcher mutex); false if codegen refuses it.
+template <typename Clause>
+bool CompileJitBody(Clause& clause) {
+  clause.compiled = codegen::CompileMicro(*clause.prog);
+  return clause.compiled != nullptr;
 }
 
 // Guard decision tree planning (§3.2 future work): if every sync binding
@@ -840,6 +845,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   table->ephemeral_budget_ns = event.ephemeral_budget_ns_;
   table->version = ++event.version_;
 
+  table->sync_bindings.reserve(event.order_list.size());
   for (const BindingHandle& binding : event.order_list) {
     if (!binding->active.load(std::memory_order_acquire)) {
       continue;
@@ -882,32 +888,44 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     for (const BindingHandle& binding : table->sync_bindings) {
       // Guarded by mu_; compiled micro bodies are cached on the clauses.
       auto& mutable_binding = const_cast<Binding&>(*binding);
-      if (binding->ephemeral || binding->may_throw || binding->erased ||
-          !CallableJitable(mutable_binding, config_.inline_micro,
-                           num_args)) {
+      JitReady handler =
+          binding->ephemeral || binding->may_throw || binding->erased
+              ? JitReady::kNo
+              : CallableJitReady(*binding, config_.inline_micro, num_args);
+      if (handler == JitReady::kNo ||
+          (handler == JitReady::kNeedsBody &&
+           !CompileJitBody(mutable_binding))) {
         jitable = false;
         break;
+      }
+      bool needs_body = false;
+      for (const GuardClause& guard : binding->guards()) {
+        JitReady ready =
+            CallableJitReady(guard, config_.inline_micro, num_args);
+        jitable &= ready != JitReady::kNo;
+        needs_body |= ready == JitReady::kNeedsBody;
       }
       // Published guard clauses are read lock-free by EvalGuards' compiled
       // fast path, so missing JIT bodies are compiled into a copy of the
       // list and republished through the epoch; raises in flight keep
-      // interpreting the retired list.
-      std::vector<GuardClause> guards = binding->CopyGuards();
-      bool compiled_any = false;
-      for (GuardClause& guard : guards) {
-        bool had_body = guard.compiled != nullptr;
-        if (!CallableJitable(guard, config_.inline_micro, num_args)) {
-          jitable = false;
-          break;
+      // interpreting the retired list. A list that needs no body (always,
+      // when inlining) is neither copied nor republished.
+      if (jitable && needs_body) {
+        std::vector<GuardClause> guards = binding->CopyGuards();
+        for (GuardClause& guard : guards) {
+          if (CallableJitReady(guard, config_.inline_micro, num_args) ==
+                  JitReady::kNeedsBody &&
+              !CompileJitBody(guard)) {
+            jitable = false;
+            break;
+          }
         }
-        compiled_any |= !had_body && guard.compiled != nullptr;
+        if (jitable) {
+          mutable_binding.ReplaceGuards(std::move(guards), *epoch_);
+        }
       }
       if (!jitable) {
         break;
-      }
-      if (compiled_any) {
-        const_cast<Binding&>(*binding).ReplaceGuards(std::move(guards),
-                                                     *epoch_);
       }
     }
   }
@@ -923,14 +941,15 @@ void Dispatcher::RebuildLocked(EventBase& event) {
         table->sync_bindings.size() >= config_.guard_tree_threshold) {
       tree_plan = PlanGuardTree(table->sync_bindings);
     }
+    spec.bindings.reserve(table->sync_bindings.size());
+    std::vector<const GuardClause*> ordered;  // reused across bindings
     for (size_t b = 0; b < table->sync_bindings.size(); ++b) {
       const BindingHandle& binding = table->sync_bindings[b];
       codegen::BindingSpec bspec;
       bspec.handler = MakeCallableSpec(*binding, config_.inline_micro);
       bspec.byref_params = binding->byref_params;
       const std::vector<GuardClause>& guards = binding->guards();
-      std::vector<const GuardClause*> ordered;
-      ordered.reserve(guards.size());
+      ordered.clear();
       for (size_t g = 0; g < guards.size(); ++g) {
         if (tree_plan.has_value() && tree_plan->matched_guard[b] == g) {
           continue;  // the decision tree subsumes this guard
@@ -947,6 +966,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
                            return ca < cb;
                          });
       }
+      bspec.guards.reserve(ordered.size());
       for (const GuardClause* guard : ordered) {
         bspec.guards.push_back(
             MakeCallableSpec(*guard, config_.inline_micro));

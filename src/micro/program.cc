@@ -1,6 +1,9 @@
 #include "src/micro/program.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "src/rt/panic.h"
 
@@ -233,12 +236,20 @@ ValidateStatus Program::Validate() const {
 
 uint8_t Program::UndefinedReads() const {
   size_t n = code_.size();
-  // in[pc]: bitmask of registers definitely written on every path to pc.
-  // Jumps are forward-only, so one in-order pass computes the meet.
-  std::vector<uint16_t> in(n + 1, 0xFFFF);
   if (n == 0) {
     return 0;
   }
+  // in[pc]: bitmask of registers definitely written on every path to pc.
+  // Jumps are forward-only, so one in-order pass computes the meet.
+  // Typical programs fit the stack array; long ones spill to the heap.
+  uint16_t stack_in[64];
+  std::vector<uint16_t> heap_in;
+  uint16_t* in = stack_in;
+  if (n + 1 > std::size(stack_in)) {
+    heap_in.resize(n + 1);
+    in = heap_in.data();
+  }
+  std::fill_n(in, n + 1, 0xFFFF);
   in[0] = 0;
   uint8_t undefined = 0;
   for (size_t pc = 0; pc < n; ++pc) {

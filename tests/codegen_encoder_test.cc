@@ -1,6 +1,11 @@
 // Encoder tests: assemble small LIR functions and execute them. Exact-byte
 // checks cover the encodings with special cases (rsp/r12 need SIB, rbp/r13
 // need explicit displacement, byte-register REX rules).
+#include <cstring>
+#include <random>
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/codegen/exec_memory.h"
@@ -299,6 +304,85 @@ TEST(EncoderBytesTest, KnownEncodings) {
   // mov eax, 1 => b8 01 00 00 00 (zero-extending 32-bit form)
   EXPECT_EQ(Encode({{.op = LOp::kMovRegImm, .dst = Reg::kRax, .imm = 1}}),
             (std::vector<uint8_t>{0xB8, 0x01, 0x00, 0x00, 0x00}));
+}
+
+// Branches over random labels, bound and not, forward and backward. Labels
+// sit in a dense table: every branch must resolve to its label's bind, and
+// a branch to a label never bound (-1 included) must panic naming the first
+// such branch, as the encoder always has.
+TEST(EncoderBytesTest, LabelFuzz) {
+  std::mt19937 rng(20261019);
+  int panics = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<LInsn> code;
+    std::set<int> bound;
+    int n = 1 + static_cast<int>(rng() % 24);
+    for (int i = 0; i < n; ++i) {
+      int label = rng() % 25 == 0 ? -1 : static_cast<int>(rng() % 8);
+      switch (rng() % 6) {
+        case 0:
+        case 1:
+        case 2:
+          if (label >= 0 && bound.insert(label).second) {
+            code.push_back({.op = LOp::kBind, .label = label});
+            break;
+          }
+          [[fallthrough]];
+        case 3:
+          code.push_back({.op = LOp::kJmp, .label = label});
+          break;
+        case 4:
+          code.push_back({.op = LOp::kJcc, .cc = Cond::kNe, .label = label});
+          break;
+        default:
+          code.push_back({.op = LOp::kRet});
+          break;
+      }
+    }
+    const LInsn* unbound = nullptr;
+    for (const LInsn& insn : code) {
+      bool branch = insn.op == LOp::kJmp || insn.op == LOp::kJcc;
+      if (branch && bound.count(insn.label) == 0) {
+        unbound = &insn;
+        break;
+      }
+    }
+    if (unbound != nullptr) {
+      ++panics;
+      EXPECT_DEATH(Encode(code),
+                   "unbound label L" + std::to_string(unbound->label) + "\n");
+      continue;
+    }
+    // jmp rel32 is 5 bytes, jcc rel32 6, ret 1, a bind 0.
+    std::vector<uint8_t> bytes = Encode(code);
+    std::vector<size_t> bind_at(8);
+    size_t at = 0;
+    for (const LInsn& insn : code) {
+      if (insn.op == LOp::kBind) {
+        bind_at[static_cast<size_t>(insn.label)] = at;
+      }
+      at += insn.op == LOp::kJmp ? 5 : insn.op == LOp::kJcc ? 6
+            : insn.op == LOp::kRet ? 1 : 0;
+    }
+    ASSERT_EQ(bytes.size(), at);
+    at = 0;
+    for (const LInsn& insn : code) {
+      if (insn.op == LOp::kJmp || insn.op == LOp::kJcc) {
+        size_t end = at + (insn.op == LOp::kJmp ? 5 : 6);
+        int32_t rel;
+        std::memcpy(&rel, &bytes[end - 4], 4);
+        EXPECT_EQ(static_cast<int64_t>(end) + rel,
+                  static_cast<int64_t>(bind_at[static_cast<size_t>(
+                      insn.label)]))
+            << "iteration " << iter;
+        at = end;
+      } else {
+        at += insn.op == LOp::kRet ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(panics, 40);
+  EXPECT_LT(panics, 360);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/codegen/peephole.h"
 #include "src/codegen/stub_compiler.h"
 #include "src/micro/program.h"
 #include "x86_disasm.h"
@@ -66,9 +67,15 @@ void Fail(const std::string& what) {
 void AddStub(std::vector<GoldenCase>& cases, const std::string& name,
              const StubSpec& spec) {
   std::string why;
-  if (!spin::codegen::StubEligible(spec, &why)) {
+  std::vector<spin::codegen::LInsn> lir;
+  if (!spin::codegen::LowerStub(spec, &lir, &why)) {
     Fail(name + ": spec ineligible: " + why);
     return;
+  }
+  // One peephole pass reaches the fixpoint: a second rewrites nothing.
+  spin::codegen::Peephole(lir);
+  if (size_t again = spin::codegen::Peephole(lir); again != 0) {
+    Fail(name + ": a second peephole pass rewrote " + std::to_string(again));
   }
   std::unique_ptr<CompiledStub> stub = CompileStub(spec);
   if (stub == nullptr) {

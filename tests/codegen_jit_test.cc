@@ -4,12 +4,14 @@
 //    argument slots, result folding, and fired counting.
 #include <cstring>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/codegen/stub_compiler.h"
 #include "src/micro/interp.h"
 #include "src/micro/program.h"
+#include "x86_disasm.h"
 
 namespace spin {
 namespace codegen {
@@ -28,6 +30,16 @@ class JitTest : public ::testing::Test {
     }
   }
 };
+
+// Whether the stub's machine code holds a call instruction.
+bool StubCalls(const CompiledStub& stub) {
+  std::string listing;
+  EXPECT_TRUE(testdisasm::Disassemble(
+      reinterpret_cast<const uint8_t*>(stub.entry()), stub.code_size(),
+      &listing))
+      << listing;
+  return listing.find("call") != std::string::npos;
+}
 
 uint64_t CallMicro(const CompiledMicro& compiled, const uint64_t* args,
                    int n) {
@@ -395,7 +407,7 @@ TEST_F(JitTest, InlinedMicroGuardAndHandler) {
   auto stub = CompileStub(spec);
   ASSERT_NE(stub, nullptr);
   // Inlined: no call instructions for the guard/handler pair.
-  EXPECT_EQ(stub->lir_text().find("call"), std::string::npos);
+  EXPECT_FALSE(StubCalls(*stub));
 
   RaiseFrame frame;
   stub->entry()(&frame);
@@ -425,7 +437,7 @@ TEST_F(JitTest, InliningDisabledFallsBackToCalls) {
   spec.bindings = {binding};
   auto stub = CompileStub(spec);
   ASSERT_NE(stub, nullptr);
-  EXPECT_NE(stub->lir_text().find("call"), std::string::npos);
+  EXPECT_TRUE(StubCalls(*stub));
   RaiseFrame frame;
   stub->entry()(&frame);
   EXPECT_EQ(frame.fired, 1u);
@@ -433,9 +445,10 @@ TEST_F(JitTest, InliningDisabledFallsBackToCalls) {
 
 TEST_F(JitTest, EligibilityLimits) {
   std::string why;
+  std::vector<LInsn> code;
   StubSpec too_many;
   too_many.num_args = 7;
-  EXPECT_FALSE(StubEligible(too_many, &why));
+  EXPECT_FALSE(LowerStub(too_many, &code, &why));
 
   StubSpec closure_limit;
   closure_limit.num_args = 6;
@@ -443,7 +456,7 @@ TEST_F(JitTest, EligibilityLimits) {
   binding.handler.fn = reinterpret_cast<void*>(&Handler2);
   binding.handler.closure_form = true;
   closure_limit.bindings = {binding};
-  EXPECT_FALSE(StubEligible(closure_limit, &why));
+  EXPECT_FALSE(LowerStub(closure_limit, &code, &why));
   EXPECT_NE(why.find("closure"), std::string::npos);
 
   StubSpec no_entry;
@@ -451,7 +464,7 @@ TEST_F(JitTest, EligibilityLimits) {
   no_entry.inline_micro = false;
   BindingSpec b2;  // neither fn nor usable prog
   no_entry.bindings = {b2};
-  EXPECT_FALSE(StubEligible(no_entry, &why));
+  EXPECT_FALSE(LowerStub(no_entry, &code, &why));
 }
 
 TEST_F(JitTest, FiftyBindingsUnrolled) {

@@ -3,11 +3,14 @@
 // table (§3: "handler lists are updated atomically with respect to event
 // dispatch").
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/codegen/exec_memory.h"
 #include "src/codegen/stub_compiler.h"
 #include "src/core/dispatcher.h"
 #include "src/core/shard.h"
@@ -251,6 +254,127 @@ TEST(ConcurrencyTest, LazyPromotionRacesRaisesOnOtherShards) {
   // the first-promotion-wins rule kept it to one.
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
   dispatcher.SynchronizeAllShards();
+}
+
+std::atomic<bool> g_stalled{false};
+std::atomic<bool> g_release{false};
+
+// Blocks its raise, and so the raise's epoch guard, until released.
+int64_t StallingHandler(int64_t x) {
+  g_stalled.store(true, std::memory_order_release);
+  while (!g_release.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return x;
+}
+
+struct Packet {
+  uint8_t bytes[16];
+};
+
+TEST(ConcurrencyTest, StalledReaderHoldsBackOnlyItsShard) {
+  // One raise on shard 0 blocks inside a native handler while the writer
+  // runs install + guard + uninstall cycles on a 10-handler guarded sum
+  // (the stub10 shape) and a 32-way port demux (the demux32 shape). Raises
+  // on the other shards must keep returning the resident sums; shard 0's
+  // epoch domain must keep what it retires until the stalled raise
+  // returns; then every domain drains and the code arena is back where it
+  // started, so nothing a rebuild made outlives its table.
+  constexpr uint32_t kShards = 8;
+  constexpr int kPorts = 32;
+  static uint64_t gate = 1;
+  Module module("Stall");
+  Dispatcher::Config config;
+  config.shards = kShards;
+  config.allow_direct = false;  // the stalled raise must hold an epoch guard
+  Dispatcher dispatcher(config);
+  Event<int64_t(int64_t)> stall("Stall.Block", &module, nullptr, &dispatcher);
+  Event<int64_t(int64_t)> sum10("Stall.Sum10", &module, nullptr, &dispatcher);
+  Event<int64_t(Packet*)> demux("Stall.Demux32", &module, nullptr,
+                                &dispatcher);
+  dispatcher.InstallHandler(stall, &StallingHandler, {.module = &module});
+  int64_t want10 = 0;
+  for (int i = 0; i < 10; ++i) {
+    uint64_t value = static_cast<uint64_t>(i + 1) << 8;
+    want10 += static_cast<int64_t>(value);
+    auto binding = dispatcher.InstallMicroHandler(
+        sum10, micro::ReturnConst(1, value, /*functional=*/false),
+        {.module = &module});
+    dispatcher.AddMicroGuard(binding, micro::GuardGlobalEq(&gate, 1));
+  }
+  for (int port = 0; port < kPorts; ++port) {
+    auto binding = dispatcher.InstallMicroHandler(
+        demux,
+        micro::ReturnConst(1, static_cast<uint64_t>(1000 + port),
+                           /*functional=*/false),
+        {.module = &module});
+    dispatcher.AddMicroGuard(
+        binding, micro::GuardArgFieldEq(1, 0, 4, 2, ~0ull,
+                                        static_cast<uint64_t>(2000 + port)));
+  }
+  dispatcher.SetResultPolicy(sum10, ResultPolicy::kSum, &module);
+  dispatcher.SetResultPolicy(demux, ResultPolicy::kSum, &module);
+  dispatcher.SynchronizeAllShards();
+  size_t mapped_start = codegen::CodeBuffer::TotalMappedBytes();
+
+  g_stalled = false;
+  g_release = false;
+  std::thread stalled([&] {
+    RaiseSourceScope source(SourceOnShard(0, kShards));
+    EXPECT_EQ(stall.Raise(7), 7);
+  });
+  while (!g_stalled.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  size_t held_start = dispatcher.shard_epoch(0).retired_count();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (uint32_t s = 1; s < kShards; ++s) {
+    readers.emplace_back([&, s] {
+      RaiseSourceScope source(SourceOnShard(s, kShards));
+      Packet packet{};
+      uint32_t i = s;
+      do {
+        int port = static_cast<int>(i++ % kPorts);
+        auto field = static_cast<uint16_t>(2000 + port);
+        std::memcpy(&packet.bytes[4], &field, sizeof(field));
+        if (sum10.Raise(1) != want10 || demux.Raise(&packet) != 1000 + port) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (!stop.load(std::memory_order_relaxed));
+    });
+  }
+  for (int i = 0; i < 1000; ++i) {
+    // The churned handler returns 0, so every sum stays what it was.
+    bool on_demux = i % 2 == 1;
+    EventBase& event = on_demux ? static_cast<EventBase&>(demux) : sum10;
+    auto binding = dispatcher.InstallMicroHandler(
+        event, micro::ReturnConst(1, 0, /*functional=*/false),
+        {.module = &module});
+    dispatcher.AddMicroGuard(
+        binding, on_demux ? micro::GuardArgFieldEq(1, 0, 4, 2, ~0ull, 1999)
+                          : micro::GuardGlobalEq(&gate, 1));
+    dispatcher.Uninstall(binding, &module);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  for (uint32_t s = 1; s < kShards; ++s) {
+    EXPECT_GT(dispatcher.shard_raises(s), 0u) << "shard " << s;
+  }
+  EXPECT_GT(dispatcher.shard_epoch(0).retired_count(), held_start);
+
+  g_release.store(true, std::memory_order_release);
+  stalled.join();
+  dispatcher.SynchronizeAllShards();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(dispatcher.shard_epoch(s).retired_count(), 0u) << "shard " << s;
+  }
+  EXPECT_EQ(codegen::CodeBuffer::TotalMappedBytes(), mapped_start);
 }
 
 }  // namespace
