@@ -5,8 +5,10 @@
 // Workload: the Table 1 midpoint — an event with one int64 argument and 10
 // handlers, each gated by a global-compare guard — plus an intrinsic-only
 // event for D1 and a mixed native/micro guard set for D4.
+#include <algorithm>
 #include <cstdio>
 #include <string_view>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/dispatcher.h"
@@ -148,15 +150,29 @@ double MeasureGuardReorder(bool reorder) {
 
 }  // namespace
 
+double Ratio(uint64_t num, uint64_t den) {
+  return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
+}
+
 // Machine-independent ratio row: both sides measured on this machine in
 // this process, so the quotient survives hardware changes and can gate
 // tightly in CI where absolute nanoseconds cannot.
-void RatioRow(const char* name, uint64_t num, uint64_t den) {
+void RatioRow(const char* name, double ratio) {
   std::printf("{\"bench\":\"ablation\",\"case\":\"%s\",\"p50_ratio\":%.3f}\n",
-              name,
-              den == 0 ? 0.0
-                       : static_cast<double>(num) / static_cast<double>(den));
+              name, ratio);
 }
+
+// Sampled tracing adds a few ns to a ~30 ns raise, so one back-to-back
+// pair of measurements swings with frequency and scheduling noise. The
+// pair is measured in interleaved rounds, alternating which arm goes
+// first, and the round with the median ratio is kept.
+struct TracingRound {
+  spin::bench::LatencyStats off;
+  spin::bench::LatencyStats sampled_128;
+  double ratio = 0;
+};
+
+constexpr int kTracingRounds = 7;
 
 int main(int argc, char** argv) {
   using spin::bench::Rule;
@@ -217,11 +233,27 @@ int main(int argc, char** argv) {
   spin::bench::LatencyStats stats_no_inline =
       StatsTenHandlers(no_inline, samples);
   spin::bench::LatencyStats stats_interp = StatsTenHandlers(interp, samples);
-  spin::bench::LatencyStats tracing_off = StatsTenHandlers(full, samples);
+  std::vector<TracingRound> rounds(kTracingRounds);
+  for (int r = 0; r < kTracingRounds; ++r) {
+    TracingRound& round = rounds[r];
+    if (r % 2 == 0) {
+      round.off = StatsTenHandlers(full, samples);
+      round.sampled_128 = StatsTenHandlersSampled(full, 128, samples);
+    } else {
+      round.sampled_128 = StatsTenHandlersSampled(full, 128, samples);
+      round.off = StatsTenHandlers(full, samples);
+    }
+    round.ratio = Ratio(round.sampled_128.p50_ns, round.off.p50_ns);
+  }
+  auto median = rounds.begin() + kTracingRounds / 2;
+  std::nth_element(rounds.begin(), median, rounds.end(),
+                   [](const TracingRound& a, const TracingRound& b) {
+                     return a.ratio < b.ratio;
+                   });
+  const spin::bench::LatencyStats& tracing_off = median->off;
+  const spin::bench::LatencyStats& sampled_128 = median->sampled_128;
   spin::bench::LatencyStats tracing_on =
       StatsTenHandlersTraced(full, samples);
-  spin::bench::LatencyStats sampled_128 =
-      StatsTenHandlersSampled(full, 128, samples);
   spin::bench::LatencyStats sampled_8 =
       StatsTenHandlersSampled(full, 8, samples);
 
@@ -236,11 +268,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sampled_8.p50_ns));
     std::printf("  %-40s %8llu ns p50\n", "tracing on (full)",
                 static_cast<unsigned long long>(tracing_on.p50_ns));
-    std::printf("  sampled-128 / off p50 ratio: %.2fx (budget 2.0x)\n",
-                tracing_off.p50_ns == 0
-                    ? 0.0
-                    : static_cast<double>(sampled_128.p50_ns) /
-                          static_cast<double>(tracing_off.p50_ns));
+    std::printf("  sampled-128 / off p50 ratio: %.2fx (budget 2.0x, median "
+                "of %d rounds)\n",
+                median->ratio, kTracingRounds);
     std::printf("\nlatency distributions (JSON, 1 row per case):\n");
   }
 
@@ -252,8 +282,10 @@ int main(int argc, char** argv) {
   spin::bench::JsonRow("ablation", "ten_handlers_sampled_128", sampled_128);
   spin::bench::JsonRow("ablation", "ten_handlers_sampled_8", sampled_8);
   spin::bench::JsonRow("ablation", "ten_handlers_tracing_on", tracing_on);
-  RatioRow("sampled_128_over_off", sampled_128.p50_ns, tracing_off.p50_ns);
-  RatioRow("tracing_on_over_off", tracing_on.p50_ns, tracing_off.p50_ns);
-  RatioRow("interp_over_full", stats_interp.p50_ns, stats_full.p50_ns);
+  RatioRow("sampled_128_over_off", median->ratio);
+  RatioRow("tracing_on_over_off",
+           Ratio(tracing_on.p50_ns, tracing_off.p50_ns));
+  RatioRow("interp_over_full",
+           Ratio(stats_interp.p50_ns, stats_full.p50_ns));
   return 0;
 }

@@ -57,7 +57,7 @@ std::string RunCell(const std::string& stack, double loss, bool smoke,
   spin::fleet::FleetReport report = fleet.Run();
   // Install-path counts: exact for a given seed. Reclaiming every retired
   // table first leaves only the live tables' code mapped.
-  dispatcher.SynchronizeAllShards();
+  dispatcher.epoch().Synchronize();
   spin::Dispatcher::Stats stats = dispatcher.stats();
   size_t jit_mapped =
       spin::codegen::CodeBuffer::TotalMappedBytes() - mapped_before;

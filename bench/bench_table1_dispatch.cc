@@ -17,8 +17,8 @@
 // inlining wins by 2-5x; the intrinsic case is an ordinary procedure call.
 // Beyond Table 1, this binary measures the sharded dispatcher ("RSS for
 // events"): a threads x handlers matrix of aggregate raise throughput,
-// sync and async, at shards=1 (the historical single-replica layout) and
-// sharded. `bench_table1_dispatch [--matrix-only] [out.json]` writes the
+// sync and async, at shards=1 (no source hash) and sharded.
+// `bench_table1_dispatch [--matrix-only] [out.json]` writes the
 // matrix as BENCH_dispatch.json for trend tracking in CI.
 #include <algorithm>
 #include <atomic>
@@ -125,7 +125,7 @@ bench::LatencyStats IntrinsicStats(const Module& module,
 //
 // threads x handlers aggregate throughput, sync and async, shards=1 vs
 // sharded. Each raiser thread pins a distinct strand identity so the source
-// hash routes it to a stable shard (replica + outbox + stub copy).
+// hash routes it to a stable shard (outbox queue + raise counter).
 
 constexpr uint32_t kMatrixShards = 16;
 

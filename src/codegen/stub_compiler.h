@@ -100,8 +100,8 @@ class CompiledStub {
   // Byte-copies the routine into a fresh code-arena chunk. The emitted
   // code is position-independent (register-indirect calls, internal rel32
   // branches only), so the copy is an exact functional replica. The
-  // dispatcher never copies a stub — every shard's table replica shares the
-  // one read-only chunk — so this serves only the position-independence
+  // dispatcher never copies a stub — an event's one table holds the one
+  // read-only chunk — so this serves only the position-independence
   // check of the golden corpus and the clone-cost probe. Returns nullptr if
   // the code arena cannot take the copy.
   std::unique_ptr<CompiledStub> Clone() const;

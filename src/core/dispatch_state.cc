@@ -381,16 +381,16 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
   obs::DispatchKind kind = obs::DispatchKind::kInterp;
   uint32_t shard = 0;
   {
-    // Route by raise source: hash it to a shard and read that shard's
-    // replica under that shard's epoch domain. Single-shard dispatchers
-    // skip the hash and the counter — shard 0 is the historical path.
+    // Route by raise source: the shard picks the outbox for async work and
+    // the raise counter. Single-shard dispatchers skip the hash and the
+    // counter. Every shard reads the one table under the one domain.
     const uint32_t nshards = dispatcher.shard_count();
     if (nshards > 1) {
       shard = ShardFor(CurrentRaiseSource(), nshards);
       dispatcher.CountShardRaise(shard);
     }
-    EpochDomain::Guard guard(dispatcher.shard_epoch(shard));
-    DispatchTable* table = table_slot(shard).load(std::memory_order_acquire);
+    EpochDomain::Guard guard(dispatcher.epoch());
+    DispatchTable* table = table_.load(std::memory_order_acquire);
     SPIN_DCHECK(table != nullptr);
     kind = table->obs_kind;
     if (table->lazy_pending) {
@@ -417,7 +417,7 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
 
 void EventBase::RaiseAsyncErased(const RaiseFrame& frame) {
   // The detached dispatch re-raises under the pinned source, so it lands on
-  // the shard replica the synchronous path would have used.
+  // the shard the synchronous path would have used.
   const uint32_t nshards = owner_->shard_count();
   const uint32_t shard =
       nshards > 1 ? ShardFor(CurrentRaiseSource(), nshards) : 0;

@@ -7,16 +7,10 @@
 // table — including any generated code it owns — is reclaimed through
 // epoch-based reclamation once concurrent raises have drained.
 //
-// When the owning dispatcher is sharded (Config::shards > 1), the event
-// holds one table replica per shard. A raise hashes its source (see
-// src/core/shard.h) to a shard and reads only that shard's replica under
-// that shard's epoch domain; installs publish a fresh replica to every
-// shard. All replicas of one table share its single compiled stub: the code
-// is read-only and position-independent, so its lines sit shared-clean in
-// every core's I-cache, and the stub is unmapped only when the last replica
-// holding it is reclaimed from its own shard's epoch domain. With one shard
-// the layout and the raise path are exactly the historical single-replica
-// ones.
+// An event has one table whatever the owner's shard count: every shard
+// reads the same table under the dispatcher's one epoch domain, and a
+// rebuild allocates, publishes and retires exactly one table. Shards only
+// route a raise's async work to an outbox queue (see src/core/shard.h).
 #ifndef SRC_CORE_DISPATCH_STATE_H_
 #define SRC_CORE_DISPATCH_STATE_H_
 
@@ -62,8 +56,7 @@ struct DispatchTable {
 
   uint64_t ephemeral_budget_ns = 0;  // relative budget for EPHEMERAL handlers
 
-  // Generated dispatch routine covering sync_bindings (null => interpret),
-  // shared by every shard's replica of this table.
+  // Generated dispatch routine covering sync_bindings (null => interpret).
   std::shared_ptr<const codegen::CompiledStub> stub;
 
   // Lazy-compile mode: this table is interpreted, but the event should be
@@ -176,19 +169,7 @@ class EventBase {
   const Module* authority_;
   Dispatcher* owner_;
 
-  // Shard 0's table replica lives inline (the whole state of a single-shard
-  // event); replicas for shards 1..N-1 live in extra_tables_, one cache
-  // line each so raises on different shards never false-share.
   std::atomic<DispatchTable*> table_{nullptr};
-  struct alignas(64) TableSlot {
-    std::atomic<DispatchTable*> table{nullptr};
-  };
-  std::unique_ptr<TableSlot[]> extra_tables_;  // null when owner has 1 shard
-
-  std::atomic<DispatchTable*>& table_slot(uint32_t shard) {
-    return shard == 0 ? table_ : extra_tables_[shard - 1].table;
-  }
-
   std::atomic<void*> direct_fn_{nullptr};
   std::atomic<bool> async_event_{false};
 

@@ -199,12 +199,6 @@ EventBase::EventBase(std::string name, ProcSig sig, const Module* authority,
   SPIN_ASSERT(owner_ != nullptr);
   SPIN_ASSERT_MSG(sig_.params.size() <= static_cast<size_t>(kMaxEventArgs),
                   "event %s has too many parameters", name_.c_str());
-  // Replica slots for shards 1..N-1 must exist before the event becomes
-  // visible to raises (RegisterEvent publishes the first tables).
-  if (owner_->shard_count() > 1) {
-    extra_tables_ =
-        std::make_unique<TableSlot[]>(owner_->shard_count() - 1);
-  }
   owner_->RegisterEvent(this);
 }
 
@@ -233,21 +227,11 @@ uint32_t ResolveShardCount(uint32_t requested) {
 
 Dispatcher::Dispatcher(const Config& config)
     : config_(config),
-      epoch_(config.epoch != nullptr ? config.epoch : &EpochDomain::Global()),
       pool_(config.pool != nullptr ? config.pool : &ThreadPool::Global()),
       shard_count_(ResolveShardCount(config.shards)),
       shards_(std::make_unique<ShardState[]>(shard_count_)),
       quota_(config.quota_bytes_per_module),
       instance_id_(g_next_dispatcher_id.fetch_add(1)) {
-  // Shard 0 always shares the configured (or global) domain: single-shard
-  // dispatchers keep the historical reclamation protocol, and install-side
-  // introspection reads shard 0 under epoch(). Extra shards own private
-  // domains so their raises never contend on another shard's epoch state.
-  shards_[0].epoch = epoch_;
-  for (uint32_t s = 1; s < shard_count_; ++s) {
-    shards_[s].owned_epoch = std::make_unique<EpochDomain>();
-    shards_[s].epoch = shards_[s].owned_epoch.get();
-  }
   obs::RegisterSource(this, &Dispatcher::ExportMetricsSource);
   watch_pool_name_ =
       obs::Intern("dispatcher" + std::to_string(instance_id_) + "/pool");
@@ -262,9 +246,7 @@ Dispatcher::~Dispatcher() {
   obs::UnregisterSource(this);
   // Events must be destroyed before their dispatcher; whatever tables remain
   // belong to events that leaked. Reclaim retired state.
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Flush();
-  }
+  epoch().Flush();
 }
 
 Dispatcher& Dispatcher::Global() {
@@ -296,19 +278,9 @@ void Dispatcher::UnregisterEvent(EventBase* event) {
     events_.erase(std::remove(events_.begin(), events_.end(), event),
                   events_.end());
   }
-  // Drain concurrent raises on every shard, then free the final replicas
-  // directly.
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Synchronize();
-    delete event->table_slot(s).exchange(nullptr,
-                                         std::memory_order_acq_rel);
-  }
-}
-
-void Dispatcher::SynchronizeAllShards() {
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Synchronize();
-  }
+  // Drain concurrent raises, then free the final table directly.
+  epoch().Synchronize();
+  delete event->table_.exchange(nullptr, std::memory_order_acq_rel);
 }
 
 bool Dispatcher::AuthorizeLocked(AuthRequest& request) {
@@ -550,7 +522,8 @@ void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
   size_t old_bytes = GuardListBytes(binding->guards());
   guards.erase(guards.begin() + static_cast<ptrdiff_t>(index));
   quota_.Release(binding->owner, old_bytes - GuardListBytes(guards));
-  binding->ReplaceGuards(std::move(guards), *epoch_);
+  binding->ReplaceGuards(std::move(guards), epoch());
+  ++stats_.guard_lists;
   RebuildLocked(event);
 }
 
@@ -571,7 +544,7 @@ EventBase* Dispatcher::FindEvent(const std::string& name) const {
 
 std::string Dispatcher::Describe(EventBase& event) const {
   std::string out = event.name() + " " + event.sig().ToString() + "\n";
-  EpochDomain::Guard guard(*epoch_);
+  EpochDomain::Guard guard(epoch());
   DispatchTable* table = event.table_.load(std::memory_order_acquire);
   const char* kind = "interpreted";
   if (event.direct_fn() != nullptr) {
@@ -668,7 +641,8 @@ void Dispatcher::ReplaceBindingGuardsLocked(const BindingHandle& binding,
   } else {
     quota_.Release(binding->owner, old_bytes - new_bytes);
   }
-  binding->ReplaceGuards(std::move(guards), *epoch_);
+  binding->ReplaceGuards(std::move(guards), epoch());
+  ++stats_.guard_lists;
   RebuildLocked(*binding->event);
 }
 
@@ -921,7 +895,8 @@ void Dispatcher::RebuildLocked(EventBase& event) {
           }
         }
         if (jitable) {
-          mutable_binding.ReplaceGuards(std::move(guards), *epoch_);
+          mutable_binding.ReplaceGuards(std::move(guards), epoch());
+          ++stats_.guard_lists;
         }
       }
       if (!jitable) {
@@ -1005,22 +980,13 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   obs::FlightRecorder::Global().Emit(obs::TraceKind::kRebuild,
                                      event.obs_name_, table->version);
 
-  // Publish one replica per shard, each with a single store; old replicas
-  // retire through the owning shard's epoch domain. Replicas share the one
-  // compiled stub, which lives until the last of them is reclaimed.
-  for (uint32_t s = 1; s < shard_count_; ++s) {
-    auto replica = std::make_unique<DispatchTable>(*table);
-    DispatchTable* old = event.table_slot(s).exchange(
-        replica.release(), std::memory_order_acq_rel);
-    if (old != nullptr) {
-      shards_[s].epoch->Retire(old, &DeleteTable);
-    }
-  }
+  // Publish with a single store (§3); the old table, and its stub with it,
+  // is reclaimed once every raise that may read it has drained.
   DispatchTable* old = event.table_.exchange(table.release(),
                                              std::memory_order_acq_rel);
   event.direct_fn_.store(direct, std::memory_order_release);
   if (old != nullptr) {
-    epoch_->Retire(old, &DeleteTable);
+    epoch().Retire(old, &DeleteTable);
   }
 }
 
@@ -1066,9 +1032,9 @@ void Dispatcher::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
       }
     }
   }
-  line("spin_epoch_current", self->epoch_->epoch());
-  line("spin_epoch_retired", self->epoch_->retired_count());
-  line("spin_epoch_reclaimed_total", self->epoch_->reclaimed_total());
+  line("spin_epoch_current", self->epoch().epoch());
+  line("spin_epoch_retired", self->epoch().retired_count());
+  line("spin_epoch_reclaimed_total", self->epoch().reclaimed_total());
   line("spin_quota_limit_bytes", self->quota_.limit());
   for (const auto& [module, used] : self->quota_.Snapshot()) {
     sink.Add("spin_quota_used_bytes",
@@ -1092,15 +1058,12 @@ void Dispatcher::WatchdogProbeSource(void* ctx,
     queue.progress = self->pool_->executed(s);
     out.push_back(queue);
   }
-  for (uint32_t s = 0; s < self->shard_count_; ++s) {
-    obs::WatchSample epoch;
-    epoch.kind = obs::AnomalyKind::kEpochStall;
-    epoch.name = self->watch_epoch_name_;
-    epoch.shard = s;
-    epoch.depth = self->shards_[s].epoch->retired_count();
-    epoch.progress = self->shards_[s].epoch->reclaimed_total();
-    out.push_back(epoch);
-  }
+  obs::WatchSample epoch;
+  epoch.kind = obs::AnomalyKind::kEpochStall;
+  epoch.name = self->watch_epoch_name_;
+  epoch.depth = self->epoch().retired_count();
+  epoch.progress = self->epoch().reclaimed_total();
+  out.push_back(epoch);
 }
 
 }  // namespace spin

@@ -84,14 +84,14 @@ class Dispatcher {
     bool lazy_compile = false;
     uint32_t lazy_promote_raises = 64;
     // Dispatch-state shards ("RSS for events", see src/core/shard.h): each
-    // raise hashes its source to one of `shards` replicas, each with its
-    // own epoch domain, table replica, stub copy, and async outbox queue.
-    // 1 (the default) is the historical single-replica dispatcher; 0 means
-    // one shard per hardware thread (capped at kMaxShards).
+    // raise hashes its source to one of `shards` shards, which picks the
+    // async outbox queue its async work drains through and the raise
+    // counter it bumps. Every shard reads the event's one table. 1 (the
+    // default) skips the hash; 0 means one shard per hardware thread
+    // (capped at kMaxShards).
     uint32_t shards = 1;
     AsyncMode async_mode = AsyncMode::kPooled;
     ThreadPool* pool = nullptr;        // default: ThreadPool::Global()
-    EpochDomain* epoch = nullptr;      // default: EpochDomain::Global()
     size_t quota_bytes_per_module = 4u << 20;
   };
 
@@ -304,13 +304,15 @@ class Dispatcher {
     uint64_t direct_tables = 0;
     uint64_t tree_tables = 0;      // stubs using the guard decision tree
     uint64_t lazy_promotions = 0;  // lazy events promoted to compiled
+    uint64_t guard_lists = 0;      // guard lists replaced (one retire each)
     // Always 0: shard replicas share their table's one stub. Kept for the
     // stable spin_dispatcher_stub_replicas_total series and its readers.
     uint64_t stub_replicas = 0;
   };
   Stats stats() const;
 
-  EpochDomain& epoch() { return *epoch_; }
+  // The domain every raise guards and every rebuild retires through.
+  EpochDomain& epoch() const { return EpochDomain::Global(); }
   ThreadPool& pool() { return *pool_; }
   QuotaManager& quota() { return quota_; }
   const Config& config() const { return config_; }
@@ -320,20 +322,15 @@ class Dispatcher {
   // Number of dispatch-state shards (fixed at construction).
   uint32_t shard_count() const { return shard_count_; }
 
-  // The epoch domain protecting shard `shard`'s table replicas. Shard 0 is
-  // always the configured/global domain, so single-shard dispatchers and
-  // install-side introspection keep their historical reclamation protocol.
-  EpochDomain& shard_epoch(uint32_t shard) { return *shards_[shard].epoch; }
+  // Alias of epoch(): every shard reclaims through the one domain. Kept
+  // only because perfbench/ still compiles against it.
+  EpochDomain& shard_epoch(uint32_t /*shard*/) const { return epoch(); }
 
   // Raises dispatched through shard `shard` (counted only when sharded, so
   // the single-shard raise path stays free of atomic read-modify-writes).
   uint64_t shard_raises(uint32_t shard) const {
     return shards_[shard].raises.load(std::memory_order_relaxed);
   }
-
-  // Waits until every shard's retired tables have been reclaimed. The
-  // single-shard equivalent of epoch().Synchronize().
-  void SynchronizeAllShards();
 
   // Untyped installation core (used by the typed wrappers and by
   // infrastructure that builds bindings directly).
@@ -368,21 +365,18 @@ class Dispatcher {
   static void ExportMetricsSource(void* ctx, obs::MetricSink& sink);
 
   // Anomaly-watchdog probe: reports per-shard pool queue (depth, executed)
-  // and epoch domain (retired, reclaimed) samples each monitor period.
+  // samples and one epoch domain (retired, reclaimed) sample each monitor
+  // period.
   static void WatchdogProbeSource(void* ctx,
                                   std::vector<obs::WatchSample>& out);
 
-  // One dispatch-state shard: its epoch domain (owned for shards 1..N-1,
-  // aliasing epoch_ for shard 0) and its raise counter, padded so counters
-  // of different shards never share a cache line.
+  // One dispatch-state shard's raise counter, padded so counters of
+  // different shards never share a cache line.
   struct alignas(64) ShardState {
-    EpochDomain* epoch = nullptr;
-    std::unique_ptr<EpochDomain> owned_epoch;
     std::atomic<uint64_t> raises{0};
   };
 
   Config config_;
-  EpochDomain* epoch_;
   ThreadPool* pool_;
   uint32_t shard_count_;
   std::unique_ptr<ShardState[]> shards_;

@@ -1,10 +1,11 @@
 // Raise-source identity and the shard hash ("RSS for events").
 //
-// A sharded dispatcher partitions its per-event dispatch state into N
-// replicas the way a multi-queue NIC partitions one logical ring: traffic
-// is spread by hashing a flow identity, and each queue owns its state so
-// the hot path never crosses a shard boundary. Our flow identity is the
-// *raise source* — who is raising, not what is raised:
+// A sharded dispatcher spreads its async outbox work over N pool queues
+// the way a multi-queue NIC spreads one logical ring: traffic is spread by
+// hashing a flow identity, so one source's work stays on one queue. The
+// dispatch table itself is not sharded: every shard reads the event's one
+// table. Our flow identity is the *raise source* — who is raising, not
+// what is raised:
 //
 //   - a kernel strand (the scheduler scopes Strand.Run and everything the
 //     quantum raises to the strand id),

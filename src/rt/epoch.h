@@ -13,10 +13,10 @@
 // fence; writers (installs) pay a mutex, which matches the paper's model of
 // rare reconfiguration and frequent dispatch.
 //
-// Multiple domains per thread: a sharded dispatcher gives every shard its
-// own domain, and a handler on one shard may raise into another (or into a
-// single-shard dispatcher on the global domain), nesting guards of
-// *different* domains on one thread. Each thread therefore caches a small
+// Multiple domains per thread: every dispatcher, sharded or not, reclaims
+// through Global(), but a domain is a plain object any subsystem may own,
+// and code holding a guard on one domain may enter another, nesting guards
+// of *different* domains on one thread. Each thread therefore caches a small
 // set of (domain, record) pairs keyed by a never-reused domain id, and a
 // Guard pins the record it entered through, so exits always decrement the
 // right domain's nesting count no matter how guards interleave. Records are

@@ -154,15 +154,15 @@ TEST(ConcurrencyTest, RaiseInsideHandlerNests) {
 
 TEST(ConcurrencyTest, InstallWhileRaisingAcrossShards) {
   // The sharded variant of the churn test: one raiser pinned to each shard
-  // reads that shard's table replica while installs republish all of them.
-  // Every churn cycle installs micro handlers, so (with the JIT) it compiles
-  // a stub that all replicas share and retires it through four epoch
-  // domains. No raise may ever see a torn replica, a missing anchor, or a
-  // freed table or stub on any shard.
+  // reads the event's one table while installs republish it. Every churn
+  // cycle installs micro handlers, so (with the JIT) it compiles a stub and
+  // retires it with its table through the dispatcher's epoch domain. No
+  // raise may ever see a torn table, a missing anchor, or a freed table or
+  // stub on any shard.
   Module module("ShardChurn");
   Dispatcher::Config config;
   config.shards = 4;
-  config.allow_direct = false;  // keep raises on the replica path
+  config.allow_direct = false;  // keep raises on the table path
   Dispatcher dispatcher(config);
   Event<int64_t(int64_t, int64_t)> event("ShardChurn.Event", &module,
                                          nullptr, &dispatcher);
@@ -211,14 +211,14 @@ TEST(ConcurrencyTest, InstallWhileRaisingAcrossShards) {
     routed += dispatcher.shard_raises(s);
   }
   EXPECT_EQ(routed, raises.load());
-  dispatcher.SynchronizeAllShards();
+  dispatcher.epoch().Synchronize();
 }
 
 TEST(ConcurrencyTest, LazyPromotionRacesRaisesOnOtherShards) {
   // lazy_compile defers stub generation until an event proves hot; the
-  // promotion rebuild republishes every shard's replica while raises on
-  // *other* shards keep reading theirs. Exactly one promotion may win, and
-  // no raise may misdispatch across the interpreted->compiled flip.
+  // promotion rebuild republishes the table while raises on every shard
+  // keep reading it. Exactly one promotion may win, and no raise may
+  // misdispatch across the interpreted->compiled flip.
   if (!codegen::CodegenAvailable()) {
     GTEST_SKIP() << "lazy promotion needs the JIT";
   }
@@ -253,7 +253,7 @@ TEST(ConcurrencyTest, LazyPromotionRacesRaisesOnOtherShards) {
   // 20000 raises against a threshold of 64: promotion certainly fired, and
   // the first-promotion-wins rule kept it to one.
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
-  dispatcher.SynchronizeAllShards();
+  dispatcher.epoch().Synchronize();
 }
 
 std::atomic<bool> g_stalled{false};
@@ -272,14 +272,15 @@ struct Packet {
   uint8_t bytes[16];
 };
 
-TEST(ConcurrencyTest, StalledReaderHoldsBackOnlyItsShard) {
+TEST(ConcurrencyTest, StalledReaderBoundsRetiredGrowth) {
   // One raise on shard 0 blocks inside a native handler while the writer
   // runs install + guard + uninstall cycles on a 10-handler guarded sum
   // (the stub10 shape) and a 32-way port demux (the demux32 shape). Raises
-  // on the other shards must keep returning the resident sums; shard 0's
-  // epoch domain must keep what it retires until the stalled raise
-  // returns; then every domain drains and the code arena is back where it
-  // started, so nothing a rebuild made outlives its table.
+  // on the other shards must keep returning the resident sums. The epoch
+  // domain must keep what it retires until the stalled raise returns, and
+  // retire no more than one table per rebuild plus one list per guard
+  // change; then it drains and the code arena is back where it started,
+  // so nothing a rebuild made outlives its table.
   constexpr uint32_t kShards = 8;
   constexpr int kPorts = 32;
   static uint64_t gate = 1;
@@ -314,7 +315,7 @@ TEST(ConcurrencyTest, StalledReaderHoldsBackOnlyItsShard) {
   }
   dispatcher.SetResultPolicy(sum10, ResultPolicy::kSum, &module);
   dispatcher.SetResultPolicy(demux, ResultPolicy::kSum, &module);
-  dispatcher.SynchronizeAllShards();
+  dispatcher.epoch().Synchronize();
   size_t mapped_start = codegen::CodeBuffer::TotalMappedBytes();
 
   g_stalled = false;
@@ -326,7 +327,9 @@ TEST(ConcurrencyTest, StalledReaderHoldsBackOnlyItsShard) {
   while (!g_stalled.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  size_t held_start = dispatcher.shard_epoch(0).retired_count();
+  EpochDomain& epoch = dispatcher.epoch();
+  size_t held_start = epoch.retired_count();
+  Dispatcher::Stats before = dispatcher.stats();
 
   std::atomic<bool> stop{false};
   std::atomic<int> wrong{0};
@@ -366,14 +369,16 @@ TEST(ConcurrencyTest, StalledReaderHoldsBackOnlyItsShard) {
   for (uint32_t s = 1; s < kShards; ++s) {
     EXPECT_GT(dispatcher.shard_raises(s), 0u) << "shard " << s;
   }
-  EXPECT_GT(dispatcher.shard_epoch(0).retired_count(), held_start);
+  Dispatcher::Stats after = dispatcher.stats();
+  size_t held = epoch.retired_count();
+  EXPECT_GT(held, held_start);
+  EXPECT_LE(held - held_start, (after.rebuilds - before.rebuilds) +
+                                   (after.guard_lists - before.guard_lists));
 
   g_release.store(true, std::memory_order_release);
   stalled.join();
-  dispatcher.SynchronizeAllShards();
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(dispatcher.shard_epoch(s).retired_count(), 0u) << "shard " << s;
-  }
+  epoch.Synchronize();
+  EXPECT_EQ(epoch.retired_count(), 0u);
   EXPECT_EQ(codegen::CodeBuffer::TotalMappedBytes(), mapped_start);
 }
 

@@ -1,8 +1,8 @@
 // Shard-hash distribution ("RSS for events"): ShardFor must spread every
-// realistic source population near-uniformly, or one shard becomes the
-// single hot replica the refactor exists to avoid. The chi-squared bounds
-// are deterministic — the source populations are synthetic and seeded — so
-// a skewed mixer fails loudly, not flakily.
+// realistic source population near-uniformly, or one shard's outbox queue
+// becomes the single hot queue sharding exists to avoid. The chi-squared
+// bounds are deterministic — the source populations are synthetic and
+// seeded — so a skewed mixer fails loudly, not flakily.
 #include <cstdint>
 #include <thread>
 #include <vector>

@@ -1,11 +1,13 @@
-// Sharded dispatch state: installs publish a replica to every shard (all
-// sharing the table's one compiled stub), raises read only their source's
-// shard, and async work drains through the source's own outbox queue. With shards=1 the dispatcher must
-// behave exactly like the historical single-replica one.
+// Sharded dispatch state: every shard reads the event's one table (and its
+// one compiled stub) under the dispatcher's one epoch domain, a raise counts
+// on its source's shard, and async work drains through the source's own
+// outbox queue. With shards=1 the dispatcher skips the source hash.
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "src/codegen/stub_compiler.h"
 #include "src/core/dispatcher.h"
 #include "src/core/shard.h"
+#include "src/micro/program.h"
 #include "src/obs/export.h"
 
 namespace spin {
@@ -60,14 +63,14 @@ TEST(ShardTest, EverySourceSeesInstalledHandlers) {
   Dispatcher::Config config;
   config.shards = 4;
   // A single plain handler would take the intrinsic-bypass direct call and
-  // never touch the tables; disable it so raises exercise the replicas.
+  // never touch the table; disable it so every shard raises through it.
   config.allow_direct = false;
   Dispatcher dispatcher(config);
   Event<int64_t(int64_t)> event("Shards.Add", &module, nullptr, &dispatcher);
   dispatcher.InstallHandler(event, &AddOne, {.module = &module});
 
-  // Raise once as a source pinned to each shard: every replica must carry
-  // the installed handler.
+  // Raise once as a source pinned to each shard: each must see the
+  // installed handler.
   for (uint32_t s = 0; s < dispatcher.shard_count(); ++s) {
     RaiseSourceScope source(SourceOnShard(s, dispatcher.shard_count()));
     EXPECT_EQ(event.Raise(41), 42) << "shard " << s;
@@ -78,11 +81,11 @@ TEST(ShardTest, EverySourceSeesInstalledHandlers) {
   }
 }
 
-TEST(ShardTest, ReinstallRepublishesEveryReplica) {
+TEST(ShardTest, ReinstallIsSeenOnEveryShard) {
   Module module("Shards");
   Dispatcher::Config config;
   config.shards = 4;
-  config.allow_direct = false;  // raise through the table replicas
+  config.allow_direct = false;  // raise through the table
   Dispatcher dispatcher(config);
   Event<int64_t(int64_t)> event("Shards.Swap", &module, nullptr, &dispatcher);
   auto one = dispatcher.InstallHandler(event, &AddOne, {.module = &module});
@@ -108,8 +111,8 @@ TEST(ShardTest, StubSharedAcrossShards) {
   Dispatcher::Stats before = dispatcher.stats();
   size_t mapped_before = codegen::CodeBuffer::TotalMappedBytes();
   dispatcher.InstallHandler(event, &AddOne, {.module = &module});
-  // One compile, no copies: every shard's replica shares the stub, so the
-  // install maps exactly one stub's pages.
+  // One compile, no copies: every shard raises through the one table's
+  // stub, so the install maps exactly one stub's pages.
   Dispatcher::Stats after = dispatcher.stats();
   EXPECT_EQ(after.stub_compiles - before.stub_compiles, 1u);
   EXPECT_EQ(after.stub_replicas - before.stub_replicas, 0u);
@@ -230,7 +233,7 @@ TEST(ShardTest, AsyncHandlerKeepsSourceShard) {
   EXPECT_EQ(dispatcher.shard_raises(shard) - raises_before, 2u);
 }
 
-TEST(ShardTest, UnregisterSynchronizesEveryShard) {
+TEST(ShardTest, UnregisterAfterRaisesOnEveryShard) {
   Module module("Shards");
   Dispatcher::Config config;
   config.shards = 4;
@@ -243,8 +246,83 @@ TEST(ShardTest, UnregisterSynchronizesEveryShard) {
       RaiseSourceScope source(SourceOnShard(s, dispatcher.shard_count()));
       EXPECT_EQ(event.Raise(0), 1);
     }
-  }  // destruction reclaims all four replicas through their shard domains
-  dispatcher.SynchronizeAllShards();  // and this must not deadlock after
+  }  // destruction frees the one table after draining the epoch domain
+  dispatcher.epoch().Synchronize();  // and this must not deadlock after
+}
+
+std::atomic<bool> g_parked{false};
+std::atomic<bool> g_unpark{false};
+
+// Parks its raise, and so the raise's epoch guard, inside the binding's
+// guard list until released; then passes.
+bool ParkingGuard(int64_t) {
+  g_parked.store(true, std::memory_order_release);
+  while (!g_unpark.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+bool PassingGuard(int64_t) { return true; }
+
+// A raise on shard 1 parks inside the first of a binding's two guards while
+// the writer replaces that guard list and flushes the epoch domain. The
+// raise is still walking the old list, so nothing retired while it is
+// parked may be reclaimed. (Without the single domain, a shard-1 raise held
+// only its shard's guard while guard lists retired elsewhere, and the list
+// was freed under it.)
+void ExpectParkedGuardListSurvives(bool async, bool jit) {
+  Module module("ShardPark");
+  ThreadPool pool(2);
+  Dispatcher::Config config;
+  config.shards = 4;
+  config.enable_jit = jit;
+  config.allow_direct = false;
+  config.pool = &pool;
+  Dispatcher dispatcher(config);
+  Event<void(int64_t)> event("ShardPark.Event", &module, nullptr,
+                             &dispatcher);
+  g_fired = 0;
+  auto binding = dispatcher.InstallHandler(event, &ParkingGuard, &CountFired,
+                                           {.async = async,
+                                            .module = &module});
+  dispatcher.AddGuard(event, binding, &PassingGuard);
+  EpochDomain& epoch = dispatcher.epoch();
+  epoch.Synchronize();  // nothing retired before the park can be reclaimed
+
+  g_parked = false;
+  g_unpark = false;
+  std::thread raiser([&] {
+    RaiseSourceScope source(SourceOnShard(1, dispatcher.shard_count()));
+    event.Raise(1);
+  });
+  while (!g_parked.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  // Not Synchronize: that would rightly wait for the parked raise.
+  const uint64_t reclaimed = epoch.reclaimed_total();
+  for (int i = 0; i < 4; ++i) {
+    dispatcher.AddMicroGuard(binding,
+                             micro::ReturnConst(1, 1, /*functional=*/true));
+    epoch.Flush();
+  }
+  EXPECT_EQ(epoch.reclaimed_total() - reclaimed, 0u)
+      << "retired state reclaimed under a parked raise";
+  g_unpark.store(true, std::memory_order_release);
+  raiser.join();
+  pool.Drain();
+  EXPECT_EQ(g_fired.load(), 1u);
+}
+
+TEST(ShardTest, ParkedRaiseKeepsGuardListAlive) {
+  ExpectParkedGuardListSurvives(/*async=*/false, /*jit=*/false);
+}
+
+TEST(ShardTest, ParkedRaiseKeepsAsyncGuardListAlive) {
+  if (!codegen::CodegenAvailable()) {
+    GTEST_SKIP() << "JIT unavailable";
+  }
+  ExpectParkedGuardListSurvives(/*async=*/true, /*jit=*/true);
 }
 
 TEST(ShardTest, MetricsExportCarriesShardLabels) {

@@ -147,10 +147,9 @@ TEST(EpochTest, ConcurrentReadersAndWriters) {
 }
 
 TEST(EpochTest, GuardsNestAcrossDistinctDomains) {
-  // A sharded dispatcher gives each shard its own domain, and a handler on
-  // one shard may raise into another: guards of *different* domains nest on
-  // one thread. The outer domain must stay pinned while inner guards on
-  // other domains come and go.
+  // Code holding a guard on one domain may enter another: guards of
+  // *different* domains nest on one thread. The outer domain must stay
+  // pinned while inner guards on other domains come and go.
   EpochDomain outer_domain;
   EpochDomain inner_domain;
   std::atomic<bool> freed{false};
