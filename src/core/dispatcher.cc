@@ -770,8 +770,10 @@ void Dispatcher::SetForceInterp(EventBase& event, bool force) {
 }
 
 void Dispatcher::EnableProfiling(bool enabled) {
-  profiling_.store(enabled, std::memory_order_release);
   std::lock_guard<std::mutex> lock(mu_);
+  if (profiling_.exchange(enabled, std::memory_order_acq_rel) == enabled) {
+    return;
+  }
   for (EventBase* event : events_) {
     RebuildLocked(*event);  // profiling disables the direct-call bypass
   }
@@ -782,11 +784,13 @@ void Dispatcher::SetTracing(const obs::TraceConfig& config) {
   // tracing_ scopes the table rebuilds to this dispatcher's events. Only
   // kFull suppresses the bypass and stubs — sampled capture keeps
   // production dispatch and trades per-handler records for a hot path
-  // that stays hot.
+  // that stays hot — so tables are rebuilt only when kFull turns on or off.
   obs::SetTraceConfig(config);
-  tracing_.store(config.mode == obs::TraceMode::kFull,
-                 std::memory_order_release);
+  const bool full = config.mode == obs::TraceMode::kFull;
   std::lock_guard<std::mutex> lock(mu_);
+  if (tracing_.exchange(full, std::memory_order_acq_rel) == full) {
+    return;
+  }
   for (EventBase* event : events_) {
     RebuildLocked(*event);
   }
@@ -1007,8 +1011,9 @@ void Dispatcher::ExportMetricsSource(void* ctx, obs::MetricSink& sink) {
   line("spin_dispatcher_lazy_promotions_total", stats.lazy_promotions);
   line("spin_dispatcher_stub_replicas_total", stats.stub_replicas);
   line("spin_dispatcher_shards", self->shard_count_);
-  // The pool and epoch domain may be process-global and shared between
-  // dispatchers; the instance label keeps the series distinct regardless.
+  // The pool may be process-global and the epoch domain always is, so both
+  // are shared between dispatchers; the instance label keeps the series
+  // distinct regardless.
   // Aggregates stay unlabeled for dashboard continuity; per-shard series
   // add a `shard` label (the pool queue of the same index drains a shard's
   // async outbox, so pool queues are reported per shard).

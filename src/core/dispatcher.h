@@ -257,6 +257,8 @@ class Dispatcher {
 
   // --- Introspection -----------------------------------------------------
 
+  // Rebuilds every table (without the direct bypass) only when the flag
+  // flips; repeating the current setting is free.
   void EnableProfiling(bool enabled);
   bool profiling() const {
     return profiling_.load(std::memory_order_acquire);
@@ -272,7 +274,9 @@ class Dispatcher {
   // trees at raise/span granularity; the unsampled path pays only the
   // thread-local sampling decision, so sampled tracing can stay on under
   // production traffic. kOff restores production dispatch and clears the
-  // process-wide obs switch. See src/obs/trace.h for exporting a capture.
+  // process-wide obs switch. Tables are rebuilt only when kFull turns on or
+  // off, so kOff <-> kSampled compiles nothing. See src/obs/trace.h for
+  // exporting a capture.
   void SetTracing(const obs::TraceConfig& config);
   // Boolean compatibility wrapper: true = kFull, false = kOff.
   void EnableTracing(bool enabled);
@@ -311,7 +315,8 @@ class Dispatcher {
   };
   Stats stats() const;
 
-  // The domain every raise guards and every rebuild retires through.
+  // The process's one epoch domain, which every raise guards and every
+  // rebuild retires through.
   EpochDomain& epoch() const { return EpochDomain::Global(); }
   ThreadPool& pool() { return *pool_; }
   QuotaManager& quota() { return quota_; }

@@ -1,155 +1,91 @@
 #include "src/rt/epoch.h"
 
+#include <pthread.h>
+
 #include "src/obs/trace.h"
 #include "src/rt/panic.h"
 
 namespace spin {
 namespace {
 
-// Per-thread cache of (domain, record) pairs. A thread can hold guards on
-// several domains at once — the global domain plus any number of per-shard
-// dispatcher domains — so a single cached pair is not enough. Entries are
-// keyed by the domain's never-reused id: an entry for a destroyed domain
-// can never produce a false hit, and is recognized as stale (and replaced)
-// without its record pointer ever being dereferenced.
-struct TlsSlot {
-  uint64_t domain_id = 0;  // 0 = empty
-  EpochDomain* domain = nullptr;
-  void* record = nullptr;
-};
-
-constexpr size_t kTlsSlots = 8;
-
-struct TlsCache {
-  TlsSlot slots[kTlsSlots];
-  size_t next_victim = 0;
-};
-
-thread_local TlsCache g_tls;
-
-std::atomic<uint64_t> g_next_domain_id{1};
-
-uint64_t NextDomainId() {
-  return g_next_domain_id.fetch_add(1, std::memory_order_relaxed);
-}
+// Its destructor is the thread-exit hook that releases a thread's record.
+pthread_key_t g_exit_key;
 
 }  // namespace
+
+thread_local EpochDomain::ThreadRecord* EpochDomain::t_record_ = nullptr;
 
 EpochDomain& EpochDomain::Global() {
   static EpochDomain* domain = new EpochDomain();  // intentionally leaked
   return *domain;
 }
 
-EpochDomain::EpochDomain() : id_(NextDomainId()) {}
-
-namespace {
-
-// Records of destroyed domains. They are never freed: a thread's cache may
-// still hold a pointer into a dead domain's record list, and while such an
-// entry is never *dereferenced* (its domain id can no longer match), keeping
-// the memory alive makes that property cheap to maintain and lets new
-// domains recycle the records instead of leaking per-domain.
-Spinlock g_record_pool_lock;
-void* g_record_pool_head = nullptr;  // chained via ThreadRecord::next
-
-}  // namespace
-
-EpochDomain::~EpochDomain() {
-  // Free everything still retired; callers must have quiesced.
-  for (auto& list : retired_) {
-    for (const Retired& r : list) {
-      r.deleter(r.ptr);
-    }
-    list.clear();
-  }
-  ThreadRecord* rec = records_.load(std::memory_order_acquire);
-  if (rec != nullptr) {
-    ThreadRecord* tail = rec;
-    while (tail->next != nullptr) {
-      tail = tail->next;
-    }
-    std::lock_guard<Spinlock> lock(g_record_pool_lock);
-    tail->next = static_cast<ThreadRecord*>(g_record_pool_head);
-    g_record_pool_head = rec;
-  }
+EpochDomain::EpochDomain() {
+  // glibc runs key destructors after the thread's C++ thread_local
+  // destructors, and runs Release again if a later destructor's guard
+  // registered a fresh record.
+  SPIN_ASSERT(pthread_key_create(&g_exit_key, &EpochDomain::Release) == 0);
 }
 
-EpochDomain::ThreadRecord* EpochDomain::AcquireRecord() {
-  for (TlsSlot& slot : g_tls.slots) {
-    if (slot.domain == this && slot.domain_id == id_) {
-      return static_cast<ThreadRecord*>(slot.record);
-    }
-  }
-  // Slow path: adopt a record for this (thread, domain) pair. Prefer one
-  // recycled from a destroyed domain, then allocate.
+EpochDomain::ThreadRecord* EpochDomain::Register() {
   ThreadRecord* rec = nullptr;
-  {
-    std::lock_guard<Spinlock> lock(g_record_pool_lock);
-    if (g_record_pool_head != nullptr) {
-      rec = static_cast<ThreadRecord*>(g_record_pool_head);
-      g_record_pool_head = rec->next;
-    }
-  }
-  if (rec != nullptr) {
-    rec->epoch.store(kIdle, std::memory_order_relaxed);
-    rec->in_use.store(true, std::memory_order_relaxed);
-    rec->nesting = 0;
-  } else {
-    rec = new ThreadRecord();
-    rec->in_use.store(true, std::memory_order_relaxed);
-  }
-  ThreadRecord* head = records_.load(std::memory_order_relaxed);
-  do {
-    rec->next = head;
-  } while (!records_.compare_exchange_weak(head, rec,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed));
-  // Cache it: take an empty slot, else evict round-robin. Eviction only
-  // overwrites the slot — the displaced record stays registered with its
-  // domain (a later cache miss on that domain simply registers a fresh
-  // record), and any guard currently holding it keeps its direct pointer.
-  TlsSlot* victim = nullptr;
-  for (TlsSlot& slot : g_tls.slots) {
-    if (slot.domain_id == 0) {
-      victim = &slot;
+  for (ThreadRecord* r = records_.load(std::memory_order_acquire);
+       r != nullptr; r = r->next) {
+    bool expected = false;
+    if (!r->in_use.load(std::memory_order_relaxed) &&
+        r->in_use.compare_exchange_strong(expected, true,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+      rec = r;  // released by an exited thread: idle, nesting 0
       break;
     }
   }
-  if (victim == nullptr) {
-    victim = &g_tls.slots[g_tls.next_victim];
-    g_tls.next_victim = (g_tls.next_victim + 1) % kTlsSlots;
+  if (rec == nullptr) {
+    rec = new ThreadRecord();
+    rec->in_use.store(true, std::memory_order_relaxed);
+    ThreadRecord* head = records_.load(std::memory_order_relaxed);
+    do {
+      rec->next = head;
+    } while (!records_.compare_exchange_weak(head, rec,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed));
   }
-  victim->domain_id = id_;
-  victim->domain = this;
-  victim->record = rec;
+  t_record_ = rec;
+  SPIN_ASSERT(pthread_setspecific(g_exit_key, rec) == 0);
   return rec;
 }
 
-EpochDomain::ThreadRecord* EpochDomain::Enter() {
-  ThreadRecord* rec = AcquireRecord();
-  if (rec->nesting++ > 0) {
-    return rec;  // already pinned by an enclosing guard
+void EpochDomain::Release(void* record) {
+  auto* rec = static_cast<ThreadRecord*>(record);
+  SPIN_DCHECK(rec == t_record_ && rec->nesting == 0);
+  // A guard taken after this point, by a later exit-time destructor,
+  // registers a fresh record.
+  t_record_ = nullptr;
+  rec->epoch.store(kIdle, std::memory_order_relaxed);
+  rec->in_use.store(false, std::memory_order_release);
+}
+
+EpochDomain::Guard::Guard(EpochDomain& domain) {
+  ThreadRecord* rec = t_record_;
+  if (rec == nullptr) [[unlikely]] {
+    rec = domain.Register();
   }
-  rec->epoch.store(global_epoch_.load(std::memory_order_relaxed),
+  if (rec->nesting++ > 0) {
+    return;  // already pinned by an enclosing guard
+  }
+  rec->epoch.store(domain.global_epoch_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   // The store above must be visible before any read of protected data, and
   // before a writer samples our epoch during TryAdvance.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  return rec;
 }
 
-void EpochDomain::Exit(ThreadRecord* rec) {
+EpochDomain::Guard::~Guard() {
+  ThreadRecord* rec = t_record_;
   SPIN_DCHECK(rec != nullptr && rec->nesting > 0);
   if (--rec->nesting == 0) {
     rec->epoch.store(kIdle, std::memory_order_release);
   }
-}
-
-EpochDomain::Guard::Guard(EpochDomain& domain)
-    : domain_(domain), record_(domain.Enter()) {}
-
-EpochDomain::Guard::~Guard() {
-  domain_.Exit(static_cast<ThreadRecord*>(record_));
 }
 
 void EpochDomain::Retire(void* p, void (*deleter)(void*)) {
@@ -215,7 +151,7 @@ void EpochDomain::Synchronize() {
   // epoch e live in bucket e%3 and are freed when the epoch reaches e+2, so
   // two advances flush everything retired before the call. Reclaiming before
   // each advance preserves the invariant that the bucket about to become
-  // "current" is empty. The caller must not hold a Guard on this domain.
+  // "current" is empty. The caller must not hold a Guard.
   int advances = 0;
   while (advances < 2) {
     bool advanced = false;
@@ -239,6 +175,15 @@ void EpochDomain::Synchronize() {
 
 size_t EpochDomain::retired_count() const {
   return retired_total_.load(std::memory_order_relaxed);
+}
+
+size_t EpochDomain::record_count() const {
+  size_t n = 0;
+  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
+       rec != nullptr; rec = rec->next) {
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace spin

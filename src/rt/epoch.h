@@ -13,16 +13,13 @@
 // fence; writers (installs) pay a mutex, which matches the paper's model of
 // rare reconfiguration and frequent dispatch.
 //
-// Multiple domains per thread: every dispatcher, sharded or not, reclaims
-// through Global(), but a domain is a plain object any subsystem may own,
-// and code holding a guard on one domain may enter another, nesting guards
-// of *different* domains on one thread. Each thread therefore caches a small
-// set of (domain, record) pairs keyed by a never-reused domain id, and a
-// Guard pins the record it entered through, so exits always decrement the
-// right domain's nesting count no matter how guards interleave. Records are
-// never freed — a destroyed domain's records go to a global recycle pool —
-// so a stale cache entry (dead domain, id mismatch) is detected without
-// ever dereferencing it.
+// There is one domain, Global(), and every dispatcher reclaims through it.
+// Each live thread owns one record in it, found through a thread-local
+// pointer. A thread claims its record on its first guard, reusing one that
+// an exited thread released or else allocating one, and releases it at
+// thread exit. The record list that every epoch advance walks is therefore
+// bounded by the peak number of live threads, not by every thread ever
+// seen. Records are never freed, so the walk needs no lock.
 #ifndef SRC_RT_EPOCH_H_
 #define SRC_RT_EPOCH_H_
 
@@ -37,27 +34,20 @@ namespace spin {
 
 class EpochDomain {
  public:
-  EpochDomain();
-  ~EpochDomain();
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
 
-  // Process-wide domain shared by all dispatchers.
+  // The process's one domain, shared by all dispatchers.
   static EpochDomain& Global();
 
   // RAII critical-section token. Nestable: inner guards piggyback on the
-  // outermost one (a handler may itself raise events), including across
-  // distinct domains — each guard pins the record it entered through.
+  // outermost one (a handler may itself raise events).
   class Guard {
    public:
     explicit Guard(EpochDomain& domain);
     ~Guard();
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
-
-   private:
-    EpochDomain& domain_;
-    void* record_;  // ThreadRecord*, owned by (thread, domain)
   };
 
   // Schedules `p` to be destroyed with `deleter` once no critical section
@@ -75,6 +65,9 @@ class EpochDomain {
 
   // Diagnostics.
   size_t retired_count() const;
+  // Thread records in the list each epoch advance walks: at most the peak
+  // number of threads that held one at once. Not exported as a metric.
+  size_t record_count() const;
   uint64_t epoch() const { return global_epoch_.load(std::memory_order_relaxed); }
   // Objects freed over the domain's lifetime. With retired_count(), exposes
   // reclamation lag to the metric exporter.
@@ -98,16 +91,20 @@ class EpochDomain {
   static constexpr uint64_t kIdle = ~0ull;
   static constexpr size_t kFlushThreshold = 64;
 
-  ThreadRecord* AcquireRecord();
-  ThreadRecord* Enter();
-  void Exit(ThreadRecord* rec);
+  // The calling thread's record, or null before its first guard and after
+  // its exit hook has run.
+  static thread_local ThreadRecord* t_record_;
+
+  EpochDomain();
+  ~EpochDomain() = default;
+
+  // A thread's first guard: claims a released record or allocates one, and
+  // arms the thread-exit hook that releases it.
+  ThreadRecord* Register();
+  static void Release(void* record);
   // Returns true if the epoch advanced. Caller holds retire_lock_.
   bool TryAdvanceLocked();
   size_t ReclaimLocked();
-
-  // Never reused across domains; lets stale thread-local cache entries for
-  // a destroyed domain be recognized without dereferencing their record.
-  const uint64_t id_;
 
   std::atomic<ThreadRecord*> records_{nullptr};
   std::atomic<uint64_t> global_epoch_{0};

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/codegen/stub_compiler.h"
 #include "src/core/dispatcher.h"
 #include "src/obs/context.h"
 #include "src/obs/export.h"
@@ -458,6 +459,52 @@ TEST(SampleTest, SampledModeKeepsProductionTables) {
   EXPECT_TRUE(fx.dispatcher.tracing());
   fx.dispatcher.SetTracing({obs::TraceMode::kOff});
   EXPECT_FALSE(fx.dispatcher.tracing());
+}
+
+void NopHandler(int64_t) {}
+
+// RebuildLocked reads only the kFull bit and the profiling flag, so a
+// setting that flips neither rebuilds and compiles nothing: kOff <-> kSampled
+// and repeats are free, and kFull on or off rebuilds every table.
+TEST(SampleTest, OnlyFullTracingAndProfilingFlipsRebuild) {
+  SampleFixture fx;
+  Event<void(int64_t)> pair("Sample.Pair", &fx.module, nullptr,
+                            &fx.dispatcher);
+  fx.dispatcher.InstallHandler(pair, &NopHandler, {.module = &fx.module});
+  fx.dispatcher.InstallHandler(pair, &NopHandler, {.module = &fx.module});
+  const bool jit = codegen::CodegenAvailable();
+
+  Dispatcher::Stats base = fx.dispatcher.stats();
+  fx.dispatcher.SetTracing({obs::TraceMode::kSampled, 128});
+  fx.dispatcher.SetTracing({obs::TraceMode::kOff});
+  fx.dispatcher.EnableProfiling(false);
+  Dispatcher::Stats now = fx.dispatcher.stats();
+  EXPECT_EQ(now.rebuilds, base.rebuilds);
+  EXPECT_EQ(now.stub_compiles, base.stub_compiles);
+
+  fx.dispatcher.SetTracing({obs::TraceMode::kFull, 128});
+  now = fx.dispatcher.stats();
+  EXPECT_GT(now.rebuilds, base.rebuilds);
+  base = now;
+  fx.dispatcher.SetTracing({obs::TraceMode::kFull, 64});
+  EXPECT_EQ(fx.dispatcher.stats().rebuilds, base.rebuilds);
+  fx.dispatcher.SetTracing({obs::TraceMode::kOff});
+  now = fx.dispatcher.stats();
+  EXPECT_GT(now.rebuilds, base.rebuilds);
+  if (jit) {
+    EXPECT_GT(now.stub_compiles, base.stub_compiles)
+        << "leaving kFull must restore the compiled stubs";
+  }
+
+  base = now;
+  fx.dispatcher.EnableProfiling(true);
+  now = fx.dispatcher.stats();
+  EXPECT_GT(now.rebuilds, base.rebuilds);
+  base = now;
+  fx.dispatcher.EnableProfiling(true);
+  EXPECT_EQ(fx.dispatcher.stats().rebuilds, base.rebuilds);
+  fx.dispatcher.EnableProfiling(false);
+  EXPECT_GT(fx.dispatcher.stats().rebuilds, base.rebuilds);
 }
 
 TEST(SampleTest, PerRingEmitAndOverwriteExport) {

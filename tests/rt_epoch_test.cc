@@ -1,14 +1,15 @@
 // Tests for epoch-based reclamation: the mechanism behind the paper's
-// atomic handler-list replacement (§3).
+// atomic handler-list replacement (§3). Every test runs on the process's one
+// domain, so each drains it first and asserts on its own objects only.
 #include "src/rt/epoch.h"
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/dispatcher.h"
 
 namespace spin {
 namespace {
@@ -23,17 +24,27 @@ struct Tracked {
 
 void DeleteTracked(void* p) { delete static_cast<Tracked*>(p); }
 
+// The global domain with nothing left retired from earlier tests.
+EpochDomain& DrainedDomain() {
+  EpochDomain& domain = EpochDomain::Global();
+  domain.Synchronize();
+  return domain;
+}
+
 TEST(EpochTest, RetireEventuallyFrees) {
-  EpochDomain domain;
+  EpochDomain& domain = DrainedDomain();
+  const uint64_t reclaimed = domain.reclaimed_total();
   std::atomic<int> live{0};
   domain.Retire(new Tracked(live), DeleteTracked);
   EXPECT_EQ(live.load(), 1);
+  EXPECT_EQ(domain.retired_count(), 1u);
   domain.Synchronize();
   EXPECT_EQ(live.load(), 0);
+  EXPECT_EQ(domain.reclaimed_total() - reclaimed, 1u);
 }
 
 TEST(EpochTest, GuardBlocksReclamation) {
-  EpochDomain domain;
+  EpochDomain& domain = DrainedDomain();
   std::atomic<int> live{0};
   std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
@@ -49,12 +60,14 @@ TEST(EpochTest, GuardBlocksReclamation) {
     std::this_thread::yield();
   }
 
+  const uint64_t reclaimed = domain.reclaimed_total();
   domain.Retire(new Tracked(live), DeleteTracked);
   // The reader pins its entry epoch; Flush cannot advance past it twice.
   for (int i = 0; i < 10; ++i) {
     domain.Flush();
   }
   EXPECT_EQ(live.load(), 1) << "object freed while a guard was active";
+  EXPECT_EQ(domain.reclaimed_total(), reclaimed);
 
   release.store(true);
   reader.join();
@@ -63,7 +76,7 @@ TEST(EpochTest, GuardBlocksReclamation) {
 }
 
 TEST(EpochTest, NestedGuards) {
-  EpochDomain domain;
+  EpochDomain& domain = DrainedDomain();
   std::atomic<int> live{0};
   {
     EpochDomain::Guard outer(domain);
@@ -88,7 +101,8 @@ TEST(EpochTest, NestedGuards) {
 }
 
 TEST(EpochTest, ManyRetiresTriggerAutomaticFlush) {
-  EpochDomain domain;
+  EpochDomain& domain = DrainedDomain();
+  const uint64_t reclaimed = domain.reclaimed_total();
   std::atomic<int> live{0};
   for (int i = 0; i < 1000; ++i) {
     domain.Retire(new Tracked(live), DeleteTracked);
@@ -96,15 +110,17 @@ TEST(EpochTest, ManyRetiresTriggerAutomaticFlush) {
   // The automatic flush threshold must keep the backlog bounded when no
   // readers are active.
   EXPECT_LT(domain.retired_count(), 200u);
+  EXPECT_GT(domain.reclaimed_total() - reclaimed, 800u);
   domain.Synchronize();
   EXPECT_EQ(live.load(), 0);
+  EXPECT_EQ(domain.reclaimed_total() - reclaimed, 1000u);
 }
 
 // Stress: concurrent readers dereference a shared pointer that writers
 // continuously replace and retire. Any use-after-free crashes or corrupts
 // the sentinel.
 TEST(EpochTest, ConcurrentReadersAndWriters) {
-  EpochDomain domain;
+  EpochDomain& domain = DrainedDomain();
   struct Node {
     uint64_t sentinel;
   };
@@ -146,96 +162,101 @@ TEST(EpochTest, ConcurrentReadersAndWriters) {
   delete current.load();
 }
 
-TEST(EpochTest, GuardsNestAcrossDistinctDomains) {
-  // Code holding a guard on one domain may enter another: guards of
-  // *different* domains nest on one thread. The outer domain must stay
-  // pinned while inner guards on other domains come and go.
-  EpochDomain outer_domain;
-  EpochDomain inner_domain;
-  std::atomic<bool> freed{false};
-  {
-    EpochDomain::Guard outer(outer_domain);
-    // Churn the inner domain: enter/exit and advance its epoch repeatedly.
-    for (int i = 0; i < 100; ++i) {
-      EpochDomain::Guard inner(inner_domain);
+std::atomic<int> g_spawned_raises{0};
+void CountRaise(int64_t) { g_spawned_raises.fetch_add(1); }
+
+// A thread's record is released when the thread exits and reused by the next
+// thread that needs one, so the list every epoch advance walks is bounded by
+// the peak number of live threads, not by every thread ever seen. Raw threads
+// are joined, so at most kBatch of them are alive at once. kSpawn raises run
+// each on a fresh detached thread that exits just after Drain() sees its task
+// finish, so a few may overlap the next batch: kSpawnSlack allows for them.
+TEST(EpochTest, ExitedThreadsReleaseTheirRecords) {
+  constexpr int kThreads = 2000;
+  constexpr int kBatch = 4;
+  constexpr size_t kSpawnSlack = 32;
+  g_spawned_raises.store(0);
+  EpochDomain& domain = DrainedDomain();
+  { EpochDomain::Guard guard(domain); }  // this thread's record
+  const size_t before = domain.record_count();
+
+  for (int i = 0; i < kThreads; i += kBatch) {
+    std::vector<std::thread> batch;
+    for (int j = 0; j < kBatch; ++j) {
+      batch.emplace_back([&] { EpochDomain::Guard guard(domain); });
     }
-    inner_domain.Synchronize();
-    // Retire into the outer domain while we still hold its guard: the
-    // object must NOT be freed, however much the inner domain churned.
-    outer_domain.Retire(&freed, +[](void* p) {
-      static_cast<std::atomic<bool>*>(p)->store(true);
-    });
-    outer_domain.Flush();
-    EXPECT_FALSE(freed.load());
+    for (std::thread& t : batch) {
+      t.join();
+    }
   }
-  outer_domain.Synchronize();
-  EXPECT_TRUE(freed.load());
+  EXPECT_LE(domain.record_count(), before + kBatch);
+
+  Module module("EpochTest");
+  Dispatcher::Config config;
+  config.async_mode = AsyncMode::kSpawn;
+  Dispatcher dispatcher(config);
+  Event<void(int64_t)> event("EpochTest.Spawn", &module, nullptr,
+                             &dispatcher);
+  dispatcher.InstallHandler(event, &CountRaise, {.module = &module});
+  for (int i = 0; i < kThreads; i += kBatch) {
+    for (int j = 0; j < kBatch; ++j) {
+      event.RaiseAsync(i + j);
+    }
+    dispatcher.pool().Drain();
+  }
+  EXPECT_EQ(g_spawned_raises.load(), kThreads);
+  EXPECT_LE(domain.record_count(), before + kBatch + kSpawnSlack);
 }
 
-TEST(EpochTest, ManyDomainsPerThreadSurviveCacheEviction) {
-  // More simultaneous domains than the thread-local cache holds: records
-  // get evicted and re-acquired, and guard exits must still balance (a
-  // stuck record would make Synchronize spin forever).
-  constexpr int kDomains = 24;
-  std::vector<std::unique_ptr<EpochDomain>> domains;
-  for (int i = 0; i < kDomains; ++i) {
-    domains.push_back(std::make_unique<EpochDomain>());
-  }
-  for (int round = 0; round < 3; ++round) {
-    for (auto& d : domains) {
-      EpochDomain::Guard guard(*d);
-    }
-  }
-  // Deep cross-domain nesting, deeper than the cache.
-  {
-    std::vector<std::unique_ptr<EpochDomain::Guard>> guards;
-    for (auto& d : domains) {
-      guards.push_back(std::make_unique<EpochDomain::Guard>(*d));
-    }
-  }
-  for (auto& d : domains) {
-    d->Synchronize();  // all records idle again: must not spin
+std::atomic<bool> g_teardown_entered{false};
+std::atomic<bool> g_teardown_release{false};
+
+void GuardAtTeardown(void*) {
+  EpochDomain::Guard guard(EpochDomain::Global());
+  g_teardown_entered.store(true);
+  while (!g_teardown_release.load()) {
+    std::this_thread::yield();
   }
 }
 
-TEST(EpochTest, DomainChurnWithThreadsDoesNotCrossContaminate) {
-  // Domains are created and destroyed while a long-lived thread keeps
-  // entering guards on fresh ones (the shape of tests constructing sharded
-  // dispatchers back to back against the global pool). Destroyed domains'
-  // records must never produce a false cache hit for a new domain. The
-  // mutex sequences the reader's guard against domain destruction; what is
-  // under test is the reader's thread-local record cache surviving 200
-  // generations of dead domains.
-  std::atomic<bool> stop{false};
-  std::mutex mu;
-  EpochDomain* shared = nullptr;  // guarded by mu
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (shared != nullptr) {
-        EpochDomain::Guard guard(*shared);
-      }
-    }
-  });
-  for (int i = 0; i < 200; ++i) {
-    auto domain = std::make_unique<EpochDomain>();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      shared = domain.get();
-    }
-    {
-      EpochDomain::Guard guard(*domain);
-    }
-    domain->Synchronize();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      shared = nullptr;
-    }
-    // Destroyed here: its records go to the recycle pool while the
-    // reader's cache still holds entries keyed by the dead domain's id.
+// A guard taken by an exit-time destructor that runs after the domain's own
+// exit hook registers a fresh record: it still pins the epoch, and the hook
+// then releases that record too. glibc runs key destructors in key order,
+// so this test's key, created after the domain's, runs second; and it
+// reruns the domain's destructor once the guard has set its key again.
+TEST(EpochTest, GuardAfterExitHookRegistersAFreshRecord) {
+  g_teardown_entered.store(false);
+  g_teardown_release.store(false);
+  EpochDomain& domain = DrainedDomain();
+  { EpochDomain::Guard guard(domain); }
+  const size_t before = domain.record_count();
+  pthread_key_t key;
+  ASSERT_EQ(pthread_key_create(&key, &GuardAtTeardown), 0);
+  auto exiting_thread = [&] {
+    { EpochDomain::Guard guard(domain); }
+    pthread_setspecific(key, &domain);
+  };
+
+  std::atomic<int> live{0};
+  std::thread parked(exiting_thread);
+  while (!g_teardown_entered.load()) {
+    std::this_thread::yield();
   }
-  stop.store(true, std::memory_order_release);
-  reader.join();
+  domain.Retire(new Tracked(live), DeleteTracked);
+  for (int i = 0; i < 10; ++i) {
+    domain.Flush();
+  }
+  EXPECT_EQ(live.load(), 1) << "freed under a guard taken at thread exit";
+  g_teardown_release.store(true);
+  parked.join();
+
+  for (int i = 0; i < 100; ++i) {
+    std::thread(exiting_thread).join();
+  }
+  EXPECT_LE(domain.record_count(), before + 1);
+  domain.Synchronize();  // every record is idle again: must not spin
+  EXPECT_EQ(live.load(), 0);
+  pthread_key_delete(key);
 }
 
 }  // namespace
